@@ -21,13 +21,13 @@ import (
 var blockSizesUnderTest = []int{1, 2, 4, 1 << 20}
 
 func blockmaxQueries() []*Query {
-	return []*Query{
+	return append(positionalQueries(),
 		MustParse(BOOL, `'tie'`),
 		MustParse(BOOL, `'alpha' OR 'beta'`),
 		MustParse(BOOL, `'rare' OR 'alpha' OR 'gamma'`),
 		MustParse(BOOL, `'alpha' AND NOT 'beta'`),
 		MustParse(BOOL, `('alpha' OR 'delta') AND NOT 'rare'`),
-	}
+	)
 }
 
 // checkRankedEquivalence compares the fast path against exhaustive
@@ -113,6 +113,70 @@ func TestBlockMaxTombstonedBlocks(t *testing.T) {
 					checkRankedEquivalence(t, label, six, q, m, k)
 				}
 			}
+		}
+	}
+}
+
+// TestBlockMaxMultiSegmentLayouts runs the equivalence check on shards
+// that hold a base segment, delta segments from live adds, and tombstones
+// in both — the layout a serving index is in between merges — and requires
+// every proximity query to have been served by the fast path.
+func TestBlockMaxMultiSegmentLayouts(t *testing.T) {
+	docs := wandCorpus()
+	for _, bs := range blockSizesUnderTest {
+		sb := NewShardedBuilder(2)
+		for _, d := range docs[:10] {
+			if err := sb.Add(d.id, d.text); err != nil {
+				t.Fatal(err)
+			}
+		}
+		six := sb.Build()
+		six.SetQueryCacheSize(0)
+		six.SetStatsBlockSize(bs)
+		for _, d := range docs[10:] {
+			if err := six.Add(d.id, d.text); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, id := range []string{"d02", "d13", "d22"} {
+			if !six.Delete(id) {
+				t.Fatalf("bs=%d: delete %s failed", bs, id)
+			}
+		}
+		six.WaitMerges()
+		segs := 0
+		for _, sh := range six.SegmentStats().Shards {
+			segs += sh.Segments
+		}
+		if segs <= six.Shards() {
+			t.Fatalf("bs=%d: %d segments over %d shards: the layout is not multi-segment", bs, segs, six.Shards())
+		}
+		before := six.RankedEvalStats()
+		for _, q := range positionalQueries() {
+			for _, m := range []ScoringModel{TFIDF, PRA} {
+				for _, k := range []int{1, 10, 100} {
+					got, err := six.SearchRanked(q, m, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := six.SearchRankedOpts(q, m, k, RankOptions{Exhaustive: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(got) != len(want) {
+						t.Fatalf("segments bs=%d %s model=%d k=%d: got %v want %v", bs, q, m, k, ids(got), ids(want))
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("segments bs=%d %s model=%d k=%d: position %d got %+v want %+v", bs, q, m, k, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+		after := six.RankedEvalStats()
+		if after.FastPathQueries == before.FastPathQueries || after.ExhaustiveQueries-before.ExhaustiveQueries != after.FastPathQueries-before.FastPathQueries {
+			t.Fatalf("bs=%d: proximity queries fell back: %+v -> %+v", bs, before, after)
 		}
 	}
 }

@@ -9,7 +9,8 @@
 //
 // Flags select the dialect (-lang bool|dist|comp), the engine (-engine
 // auto|bool|ppred|npred|comp), ranking (-rank none|tfidf|pra, -top K), and
-// -explain prints the query plan instead of searching.
+// -explain prints the query plan instead of searching; with -rank it adds
+// the ranked evaluation path (wand, or exhaustive and why).
 package main
 
 import (
@@ -83,6 +84,13 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("class: %s\n%s", ix.Classify(q), plan)
+		if *rank != "none" {
+			path, err := ix.RankedPath(q)
+			if err != nil {
+				fatal(err)
+			}
+			fmt.Printf("ranked path: %s\n", path)
+		}
 		return
 	}
 

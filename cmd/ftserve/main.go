@@ -67,7 +67,7 @@
 // Endpoints (all JSON unless noted):
 //
 //	GET    /search?q=QUERY&lang=comp&engine=auto&rank=none&top=10&trace=1
-//	GET    /explain?q=QUERY&lang=comp
+//	GET    /explain?q=QUERY&lang=comp[&rank=tfidf|pra]
 //	POST   /docs               body {"id": "...", "body": "..."}
 //	POST   /docs/batch         body {"docs": [{"id": "...", "body": "..."}, ...]}
 //	POST   /docs/delete-batch  body {"ids": ["...", ...]}
@@ -826,6 +826,19 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	plan, err := s.ix.Explain(q)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	switch rank := r.URL.Query().Get("rank"); rank {
+	case "", "none":
+	case "tfidf", "pra":
+		path, err := s.ix.RankedPath(q)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return
+		}
+		plan += "ranked path: " + path + "\n"
+	default:
+		httpError(w, http.StatusBadRequest, fmt.Errorf("unknown rank %q (want none, tfidf, or pra)", rank))
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -130,6 +131,21 @@ func TestExplainStatsHealthz(t *testing.T) {
 	if ex["plan"] == "" || ex["class"] == "" {
 		t.Fatalf("explain response incomplete: %v", ex)
 	}
+	if strings.Contains(ex["plan"], "ranked path") {
+		t.Fatalf("unranked explain names a ranked path: %q", ex["plan"])
+	}
+	// With rank= the plan says which ranked path serves the query, and why
+	// when it is not the fast path.
+	for q, want := range map[string]string{
+		"dist('test','usability',3)":     "ranked path: wand\n",
+		"'test' AND EVERY p (p HAS ANY)": "ranked path: exhaustive (every)\n",
+	} {
+		getJSON(t, ts.URL+"/explain?lang=comp&rank=pra&q="+url.QueryEscape(q), http.StatusOK, &ex)
+		if !strings.HasSuffix(ex["plan"], want) {
+			t.Fatalf("explain %s: plan %q does not end with %q", q, ex["plan"], want)
+		}
+	}
+	getJSON(t, ts.URL+"/explain?q='test'&lang=bool&rank=sideways", http.StatusBadRequest, &ex)
 
 	var hz map[string]any
 	getJSON(t, ts.URL+"/healthz", http.StatusOK, &hz)
@@ -796,6 +812,20 @@ func spanNames(tree *telemetry.SpanJSON, into map[string]int) {
 	}
 }
 
+// findSpan returns the first span of the tree with the given name, or an
+// empty span.
+func findSpan(tree *telemetry.SpanJSON, name string) telemetry.SpanJSON {
+	if tree.Name == name {
+		return *tree
+	}
+	for i := range tree.Children {
+		if sp := findSpan(&tree.Children[i], name); sp.Name == name {
+			return sp
+		}
+	}
+	return telemetry.SpanJSON{}
+}
+
 func TestTraceCoversEveryShard(t *testing.T) {
 	ts, ix := testServer(t)
 	for _, path := range []string{
@@ -811,6 +841,11 @@ func TestTraceCoversEveryShard(t *testing.T) {
 		spanNames(r.Trace, names)
 		if names["plan"] != 1 || names["merge"] != 1 {
 			t.Fatalf("%s: span tree missing plan/merge: %v", path, names)
+		}
+		if strings.Contains(path, "rank=") {
+			if notes := findSpan(r.Trace, "plan").Notes; notes["ranked_path"] != "wand" {
+				t.Fatalf("%s: plan span notes %v, want ranked_path=wand", path, notes)
+			}
 		}
 		for i := 0; i < ix.Shards(); i++ {
 			if names[fmt.Sprintf("shard %d", i)] != 1 {

@@ -523,27 +523,26 @@ func (r *EvalRecorder) addExhaustive(nodes int) {
 
 // SearchRanked evaluates the query with the chosen scoring model and
 // returns matches sorted by descending score. topK <= 0 returns all
-// matches. Positive topK on a ranked-eligible query (a positive Boolean
-// combination of tokens) takes the WAND fast path: cached index statistics
-// make model construction O(query tokens), and top-K early termination
-// skips documents whose score upper bound cannot reach the running K-th
-// best. Everything else falls back to the exhaustive complete-engine scan;
-// both paths return identical results and scores.
+// matches. Positive topK on a ranked-eligible query — search tokens and
+// SOME/HAS atoms under AND, OR and grounded NOT, with position predicates as
+// filters (dist, phrases, distance/ordered/window chains) — takes the WAND
+// fast path: cached index statistics make model construction O(query
+// tokens), posting-list cursors enumerate only documents that can match,
+// and top-K early termination skips documents whose score upper bound
+// cannot reach the running K-th best. Everything else falls back to the
+// exhaustive complete-engine scan (RankedPath says which, and why); both
+// paths return identical results and scores.
 func (ix *Index) SearchRanked(q *Query, m ScoringModel, topK int) ([]Match, error) {
 	return ix.SearchRankedOpts(q, m, topK, RankOptions{})
 }
 
 // SearchRankedOpts is SearchRanked with explicit ranked-evaluation options.
 func (ix *Index) SearchRankedOpts(q *Query, m ScoringModel, topK int, o RankOptions) ([]Match, error) {
-	ast := ix.rewrite(q)
-	if err := lang.Validate(ast, ix.reg); err != nil {
+	rp, err := planRanked(q, ix.analyzer, ix.reg, topK, o)
+	if err != nil {
 		return nil, err
 	}
-	// Normalize exactly as SearchWith does: the complete engine must see the
-	// same shape (desugared negative predicates, hoisted quantifiers) the
-	// Boolean path evaluates, or ranked and unranked results can diverge.
-	norm := lang.Normalize(ast, ix.reg)
-	ranked, err := ix.rankedNodes(norm, m, ix.inv, topK, o, nil, nil)
+	ranked, err := ix.rankedNodes(rp, m, ix.inv, topK, o, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -554,13 +553,61 @@ func (ix *Index) SearchRankedOpts(q *Query, m ScoringModel, topK int, o RankOpti
 	return out, nil
 }
 
-// scorerFor builds the scoring model for a normalized query against the
-// collection statistics st. Both models read the index's cached statistics
-// block, so construction is O(query tokens) once the block is warm.
-func (ix *Index) scorerFor(norm lang.Query, m ScoringModel, st score.CorpusStats) (fta.Scorer, error) {
+// rankedPlan is the part of a ranked evaluation that depends on the query
+// alone. It is built once per query and shared, read-only, by every
+// segment of every shard: segments share the analyzer and the registry.
+type rankedPlan struct {
+	tokens []string       // the query's search tokens (score.TokensOf)
+	plan   fta.Expr       // the validated algebra plan both paths evaluate
+	wand   *wand.Analysis // nil when the query takes the exhaustive scan
+	why    string         // why wand is nil
+}
+
+// planRanked rewrites, validates, normalizes, compiles and analyzes q.
+func planRanked(q *Query, an *text.Analyzer, reg *pred.Registry, topK int, o RankOptions) (*rankedPlan, error) {
+	ast := rewriteQueryTokens(q.ast, an)
+	if err := lang.Validate(ast, reg); err != nil {
+		return nil, err
+	}
+	// Normalize exactly as SearchWith does: the complete engine must see the
+	// same shape (desugared negative predicates, hoisted quantifiers) the
+	// Boolean path evaluates, or ranked and unranked results can diverge.
+	norm := lang.Normalize(ast, reg)
+	plan, err := compeval.Compile(norm, reg)
+	if err != nil {
+		return nil, err
+	}
+	if err := fta.ValidateQuery(plan, reg); err != nil {
+		return nil, err
+	}
+	rp := &rankedPlan{tokens: score.TokensOf(norm), plan: plan}
+	switch {
+	case o.Exhaustive:
+		rp.why = "forced"
+	case topK <= 0:
+		rp.why = "no top-K"
+	default:
+		rp.wand, rp.why = wand.Analyze(norm)
+	}
+	return rp, nil
+}
+
+// path names the ranked evaluation path for spans and Explain.
+func (rp *rankedPlan) path() string {
+	if rp.wand != nil {
+		return "wand"
+	}
+	return "exhaustive (" + rp.why + ")"
+}
+
+// scorerFor builds the scoring model for a query's search tokens against
+// the collection statistics st. Both models read the index's cached
+// statistics block, so construction is O(query tokens) once the block is
+// warm.
+func (ix *Index) scorerFor(tokens []string, m ScoringModel, st score.CorpusStats) (wand.Scorer, error) {
 	switch m {
 	case TFIDF:
-		return score.NewTFIDFWith(ix.inv, st, score.TokensOf(norm)), nil
+		return score.NewTFIDFWith(ix.inv, st, tokens), nil
 	case PRA:
 		return score.NewPRAWith(ix.inv, st), nil
 	default:
@@ -568,39 +615,30 @@ func (ix *Index) scorerFor(norm lang.Query, m ScoringModel, st score.CorpusStats
 	}
 }
 
-// rankedNodes scores a normalized query against the collection statistics
-// st — the index's own inverted lists for a standalone index, or global
+// rankedNodes scores a planned query against the collection statistics st
+// — the index's own inverted lists for a standalone index, or global
 // statistics when the index is one segment of a ShardedIndex — returning
-// the top topK (all matches when topK <= 0). Eligible positive-token
-// queries with positive topK run the WAND fast path; shared, when non-nil,
-// is the cross-shard pruning threshold; live, when non-nil, filters
-// tombstoned documents out before ranking (and before topK truncation).
-func (ix *Index) rankedNodes(norm lang.Query, m ScoringModel, st score.CorpusStats, topK int, o RankOptions, shared *wand.Shared, live wand.Live) ([]score.Ranked, error) {
-	scorer, err := ix.scorerFor(norm, m, st)
+// the top topK (all matches when topK <= 0). Queries wand.Analyze admits
+// run the WAND fast path; shared, when non-nil, is the cross-shard pruning
+// threshold; live, when non-nil, filters tombstoned documents out before
+// ranking (and before topK truncation).
+func (ix *Index) rankedNodes(rp *rankedPlan, m ScoringModel, st score.CorpusStats, topK int, o RankOptions, shared *wand.Shared, live wand.Live) ([]score.Ranked, error) {
+	scorer, err := ix.scorerFor(rp.tokens, m, st)
 	if err != nil {
 		return nil, err
 	}
-	if topK > 0 && !o.Exhaustive {
-		if a, ok := wand.Analyze(norm); ok {
-			bounded, ok := scorer.(wand.Scorer)
-			if ok {
-				plan, err := compeval.Compile(norm, ix.reg)
-				if err != nil {
-					return nil, err
-				}
-				ev := &fta.Evaluator{Index: ix.inv, Reg: ix.reg, Scorer: scorer}
-				var ws wand.Stats
-				ranked, err := wand.Eval(ev, plan, a, bounded, topK, shared, &ws, live)
-				if err != nil {
-					return nil, err
-				}
-				ix.rc.addWand(ws)
-				o.Recorder.addWand(ws)
-				return ranked, nil
-			}
+	ev := &fta.Evaluator{Index: ix.inv, Reg: ix.reg, Scorer: scorer}
+	if rp.wand != nil {
+		var ws wand.Stats
+		ranked, err := wand.Eval(ev, rp.plan, rp.wand, scorer, topK, shared, &ws, live)
+		if err != nil {
+			return nil, err
 		}
+		ix.rc.addWand(ws)
+		o.Recorder.addWand(ws)
+		return ranked, nil
 	}
-	res, err := compeval.EvalScored(norm, ix.inv, ix.reg, compeval.Options{Scorer: scorer})
+	res, err := ev.Eval(rp.plan)
 	if err != nil {
 		return nil, err
 	}
@@ -623,28 +661,34 @@ func (ix *Index) rankedNodes(norm lang.Query, m ScoringModel, st score.CorpusSta
 }
 
 // rankedUpperBound returns the largest score any document of this index
-// could reach for the analyzed query: the sum over query tokens of their
+// could reach for the planned query: the sum over query tokens of their
 // multiplicity-weighted per-list upper bounds. ok is false when the bound
 // is unavailable without paying the O(index) statistics pass — the caller
 // (adaptive shard fan-out) must then treat the index as unbounded. The
 // bound is a planning hint only; it never affects results.
-func (ix *Index) rankedUpperBound(norm lang.Query, m ScoringModel, st score.CorpusStats, a *wand.Analysis) (float64, bool) {
+func (ix *Index) rankedUpperBound(rp *rankedPlan, m ScoringModel, st score.CorpusStats) (float64, bool) {
 	if ix.inv.StatsBlockIfWarm(st) == nil {
 		return 0, false
 	}
-	scorer, err := ix.scorerFor(norm, m, st)
+	scorer, err := ix.scorerFor(rp.tokens, m, st)
 	if err != nil {
 		return 0, false
 	}
-	ws, ok := scorer.(wand.Scorer)
-	if !ok {
-		return 0, false
-	}
 	var ub float64
-	for _, tok := range a.Tokens {
-		ub += float64(a.Count[tok]) * ws.UpperBound(tok)
+	for _, tok := range rp.wand.Tokens {
+		ub += float64(rp.wand.Count[tok]) * scorer.UpperBound(tok)
 	}
 	return ub, true
+}
+
+// RankedPath reports which path a top-K ranked search of q takes: "wand",
+// or "exhaustive (<reason>)" with the reason the fast path declined it.
+func (ix *Index) RankedPath(q *Query) (string, error) {
+	rp, err := planRanked(q, ix.analyzer, ix.reg, 1, RankOptions{})
+	if err != nil {
+		return "", err
+	}
+	return rp.path(), nil
 }
 
 // Explain reports which engine EngineAuto would pick and renders its query

@@ -3,7 +3,6 @@ package fta
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"fulltext/internal/core"
 	"fulltext/internal/invlist"
@@ -40,6 +39,11 @@ type Evaluator struct {
 	// TuplesBuilt counts materialized tuples, for the complexity
 	// instrumentation (Section 5.4's cost is driven by join output sizes).
 	TuplesBuilt int
+
+	// Scratch reused across operators and nodes (an Evaluator serves one
+	// goroutine): the scores of one projection group, and one tuple key.
+	parts []float64
+	key   []byte
 }
 
 // Eval runs a width-0 algebra query and returns the qualifying nodes.
@@ -176,9 +180,13 @@ func (ev *Evaluator) evalNode(e Expr, node core.NodeID) ([]Tuple, error) {
 		if entry == nil {
 			return nil, nil
 		}
-		out := make([]Tuple, 0, len(entry.Pos))
-		for _, p := range entry.Pos {
-			out = append(out, Tuple{Pos: []core.Pos{p}, Score: ev.Scorer.LeafToken(x.Tok, node)})
+		// Every tuple of the leaf starts from the same score, and its
+		// position column aliases the posting entry (capacity-capped, so no
+		// operator can append into the index's memory).
+		s := ev.Scorer.LeafToken(x.Tok, node)
+		out := make([]Tuple, len(entry.Pos))
+		for i := range entry.Pos {
+			out[i] = Tuple{Pos: entry.Pos[i : i+1 : i+1], Score: s}
 		}
 		ev.TuplesBuilt += len(out)
 		return out, nil
@@ -188,24 +196,43 @@ func (ev *Evaluator) evalNode(e Expr, node core.NodeID) ([]Tuple, error) {
 		if err != nil {
 			return nil, err
 		}
-		groups := make(map[string][]float64)
-		reps := make(map[string][]core.Pos)
-		var order []string
+		if len(in) == 0 {
+			return nil, nil
+		}
+		if len(x.Cols) == 0 {
+			// Width 0: every tuple collapses onto the node's one tuple.
+			ev.parts = ev.parts[:0]
+			for _, t := range in {
+				ev.parts = append(ev.parts, t.Score)
+			}
+			ev.TuplesBuilt++
+			return []Tuple{{Score: ev.Scorer.Project(ev.parts)}}, nil
+		}
+		type group struct {
+			pos   []core.Pos
+			parts []float64
+		}
+		idx := make(map[string]int, len(in))
+		groups := make([]group, 0, len(in))
+		cols := make([]core.Pos, len(in)*len(x.Cols))
 		for _, t := range in {
-			pos := make([]core.Pos, len(x.Cols))
+			pos := cols[:len(x.Cols):len(x.Cols)]
 			for i, c := range x.Cols {
 				pos[i] = t.Pos[c]
 			}
-			k := posKey(pos)
-			if _, seen := groups[k]; !seen {
-				order = append(order, k)
-				reps[k] = pos
+			ev.key = appendKey(ev.key[:0], pos)
+			g, seen := idx[string(ev.key)]
+			if !seen {
+				g = len(groups)
+				idx[string(ev.key)] = g
+				groups = append(groups, group{pos: pos})
+				cols = cols[len(x.Cols):]
 			}
-			groups[k] = append(groups[k], t.Score)
+			groups[g].parts = append(groups[g].parts, t.Score)
 		}
-		out := make([]Tuple, 0, len(order))
-		for _, k := range order {
-			out = append(out, Tuple{Pos: reps[k], Score: ev.Scorer.Project(groups[k])})
+		out := make([]Tuple, len(groups))
+		for i, g := range groups {
+			out[i] = Tuple{Pos: g.pos, Score: ev.Scorer.Project(g.parts)}
 		}
 		ev.TuplesBuilt += len(out)
 		return sortTuples(out), nil
@@ -226,12 +253,12 @@ func (ev *Evaluator) evalNode(e Expr, node core.NodeID) ([]Tuple, error) {
 			return nil, nil
 		}
 		out := make([]Tuple, 0, len(l)*len(r))
+		w := len(l[0].Pos) + len(r[0].Pos)
+		cols := make([]core.Pos, 0, len(l)*len(r)*w) // one backing array for every output tuple
 		for _, a := range l {
 			for _, b := range r {
-				pos := make([]core.Pos, 0, len(a.Pos)+len(b.Pos))
-				pos = append(pos, a.Pos...)
-				pos = append(pos, b.Pos...)
-				out = append(out, Tuple{Pos: pos, Score: ev.Scorer.Join(a.Score, b.Score, len(l), len(r))})
+				cols = append(append(cols, a.Pos...), b.Pos...)
+				out = append(out, Tuple{Pos: cols[len(cols)-w : len(cols) : len(cols)], Score: ev.Scorer.Join(a.Score, b.Score, len(l), len(r))})
 			}
 		}
 		ev.TuplesBuilt += len(out)
@@ -268,37 +295,51 @@ func (ev *Evaluator) evalNode(e Expr, node core.NodeID) ([]Tuple, error) {
 		if err != nil {
 			return nil, err
 		}
+		if len(l)+len(r) == 0 {
+			return nil, nil
+		}
+		// A later duplicate of a key overwrites the side's score, so of a
+		// width-0 side only the last tuple counts.
+		if width0(l, r) {
+			var sL, sR float64
+			hL, hR := len(l) > 0, len(r) > 0
+			if hL {
+				sL = l[len(l)-1].Score
+			}
+			if hR {
+				sR = r[len(r)-1].Score
+			}
+			ev.TuplesBuilt++
+			return []Tuple{{Score: ev.Scorer.Union(sL, sR, hL, hR)}}, nil
+		}
 		type entry struct {
 			pos    []core.Pos
 			sL, sR float64
 			hL, hR bool
 		}
-		m := make(map[string]*entry, len(l)+len(r))
-		var order []string
-		for _, t := range l {
-			k := posKey(t.Pos)
-			e, seen := m[k]
+		idx := make(map[string]int, len(l)+len(r))
+		es := make([]entry, 0, len(l)+len(r))
+		find := func(t Tuple) *entry {
+			ev.key = appendKey(ev.key[:0], t.Pos)
+			i, seen := idx[string(ev.key)]
 			if !seen {
-				e = &entry{pos: t.Pos}
-				m[k] = e
-				order = append(order, k)
+				i = len(es)
+				idx[string(ev.key)] = i
+				es = append(es, entry{pos: t.Pos})
 			}
+			return &es[i]
+		}
+		for _, t := range l {
+			e := find(t)
 			e.sL, e.hL = t.Score, true
 		}
 		for _, t := range r {
-			k := posKey(t.Pos)
-			e, seen := m[k]
-			if !seen {
-				e = &entry{pos: t.Pos}
-				m[k] = e
-				order = append(order, k)
-			}
+			e := find(t)
 			e.sR, e.hR = t.Score, true
 		}
-		out := make([]Tuple, 0, len(order))
-		for _, k := range order {
-			e := m[k]
-			out = append(out, Tuple{Pos: e.pos, Score: ev.Scorer.Union(e.sL, e.sR, e.hL, e.hR)})
+		out := make([]Tuple, len(es))
+		for i, e := range es {
+			out[i] = Tuple{Pos: e.pos, Score: ev.Scorer.Union(e.sL, e.sR, e.hL, e.hR)}
 		}
 		ev.TuplesBuilt += len(out)
 		return sortTuples(out), nil
@@ -315,19 +356,27 @@ func (ev *Evaluator) evalNode(e Expr, node core.NodeID) ([]Tuple, error) {
 		if err != nil {
 			return nil, err
 		}
+		if len(r) == 0 {
+			return nil, nil
+		}
+		if width0(l, r) {
+			ev.TuplesBuilt++
+			return []Tuple{{Score: ev.Scorer.Intersect(l[0].Score, r[len(r)-1].Score)}}, nil
+		}
 		rs := make(map[string]float64, len(r))
 		for _, t := range r {
-			rs[posKey(t.Pos)] = t.Score
+			ev.key = appendKey(ev.key[:0], t.Pos)
+			rs[string(ev.key)] = t.Score
 		}
 		var out []Tuple
 		seen := make(map[string]bool, len(l))
 		for _, t := range l {
-			k := posKey(t.Pos)
-			if seen[k] {
+			ev.key = appendKey(ev.key[:0], t.Pos)
+			if seen[string(ev.key)] {
 				continue
 			}
-			seen[k] = true
-			if s, ok := rs[k]; ok {
+			seen[string(ev.key)] = true
+			if s, ok := rs[string(ev.key)]; ok {
 				out = append(out, Tuple{Pos: t.Pos, Score: ev.Scorer.Intersect(t.Score, s)})
 			}
 		}
@@ -346,18 +395,26 @@ func (ev *Evaluator) evalNode(e Expr, node core.NodeID) ([]Tuple, error) {
 		if err != nil {
 			return nil, err
 		}
+		if width0(l, r) {
+			if len(r) > 0 {
+				return nil, nil
+			}
+			ev.TuplesBuilt++
+			return []Tuple{{Score: ev.Scorer.Diff(l[0].Score)}}, nil
+		}
 		rk := make(map[string]bool, len(r))
 		for _, t := range r {
-			rk[posKey(t.Pos)] = true
+			ev.key = appendKey(ev.key[:0], t.Pos)
+			rk[string(ev.key)] = true
 		}
 		var out []Tuple
 		seen := make(map[string]bool, len(l))
 		for _, t := range l {
-			k := posKey(t.Pos)
-			if seen[k] || rk[k] {
+			ev.key = appendKey(ev.key[:0], t.Pos)
+			if seen[string(ev.key)] || rk[string(ev.key)] {
 				continue
 			}
-			seen[k] = true
+			seen[string(ev.key)] = true
 			out = append(out, Tuple{Pos: t.Pos, Score: ev.Scorer.Diff(t.Score)})
 		}
 		ev.TuplesBuilt += len(out)
@@ -368,15 +425,29 @@ func (ev *Evaluator) evalNode(e Expr, node core.NodeID) ([]Tuple, error) {
 	}
 }
 
-func posKey(pos []core.Pos) string {
-	var b strings.Builder
+// appendKey appends a tuple's set-semantics identity to b: four bytes per
+// position ordinal, so two keys are equal exactly when the ordinals are.
+func appendKey(b []byte, pos []core.Pos) []byte {
 	for _, p := range pos {
-		fmt.Fprintf(&b, "%d,", p.Ord)
+		o := uint32(p.Ord)
+		b = append(b, byte(o), byte(o>>8), byte(o>>16), byte(o>>24))
 	}
-	return b.String()
+	return b
+}
+
+// width0 reports whether two relations of equal width, not both empty, have
+// no position columns: all their tuples then share the one empty key.
+func width0(l, r []Tuple) bool {
+	if len(l) > 0 {
+		return len(l[0].Pos) == 0
+	}
+	return len(r[0].Pos) == 0
 }
 
 func sortTuples(ts []Tuple) []Tuple {
+	if len(ts) < 2 {
+		return ts
+	}
 	sort.Slice(ts, func(i, j int) bool {
 		a, b := ts[i].Pos, ts[j].Pos
 		for k := range a {

@@ -111,16 +111,18 @@ func (s *Span) Child(name string) *Span {
 }
 
 // ChildDone records a completed sub-span with an explicit duration — the
-// idiom for phases that were timed anyway for a histogram observation.
-func (s *Span) ChildDone(name string, d time.Duration) {
+// idiom for phases that were timed anyway for a histogram observation —
+// and returns it so the caller can annotate it (nil as for Child).
+func (s *Span) ChildDone(name string, d time.Duration) *Span {
 	c := s.Child(name)
 	if c == nil {
-		return
+		return nil
 	}
 	c.mu.Lock()
 	c.dur = d
 	c.ended = true
 	c.mu.Unlock()
+	return c
 }
 
 func (t *Tracer) count() {

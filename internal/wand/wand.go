@@ -1,7 +1,9 @@
 // Package wand is the ranked top-K fast path: a WAND-style doc-at-a-time
 // evaluator (Broder et al., and the additional-index pruning line of
-// Veretennikov) for positive Boolean token queries. Instead of scoring
-// every context node the way the complete engine's full scan does, it
+// Veretennikov) for positively grounded queries — Boolean token queries and
+// the existential position-predicate queries (dist, SOME … HAS … pred) on
+// top of them. Instead of scoring every context node the way the complete
+// engine's full scan does, it
 //
 //   - drives candidate enumeration with seekable posting-list cursors
 //     (intersection of the required tokens when the query implies them,
@@ -9,10 +11,12 @@
 //   - maintains the running K-th-best score as a threshold, skipping every
 //     document whose per-token upper-bound sum cannot beat it.
 //
-// Documents that survive both filters are scored by the same per-node
-// algebra evaluation the exhaustive engine runs (fta.Evaluator.EvalNode),
-// so the returned top K — results and scores — is identical to the
-// exhaustive evaluator's, which the equivalence matrix test asserts.
+// Documents that survive both filters are decided and scored by the same
+// per-node algebra evaluation the exhaustive engine runs
+// (fta.Evaluator.EvalNode), so the returned top K — results and scores — is
+// identical to the exhaustive evaluator's, which the equivalence matrix
+// test asserts. Position predicates are therefore never evaluated here:
+// they are filters that the cursors ignore and EvalNode applies.
 //
 // When the scorer exposes per-block bounds (BlockScorer), the pivot step
 // additionally refines its upper bound with the block maxima of the lists
@@ -28,8 +32,61 @@
 // Purely negative tokens get complement cursors: zero-upper-bound cursors
 // kept out of the pivot driver that are only seek-aligned to settle token
 // presence for the Boolean structure check. Queries outside the eligible
-// fragment (top-level or OR-reachable NOT, ANY, quantifiers, position
-// predicates) are rejected by Analyze and fall back to the full scan.
+// fragment are rejected by Analyze, with a reason, and fall back to the
+// full scan.
+//
+// # Why the per-leaf bound sum dominates the evaluated score
+//
+// Skipping is sound only if, for every node n the algebra accepts,
+//
+//	score(n) ≤ Σ_tok Count[tok] · UpperBound(tok)
+//
+// where UpperBound(tok) dominates the aggregate of one R_tok leaf on any
+// node: the sum of its tuple scores under TF-IDF, their noisy-or under
+// PRA. Every positive literal and HAS atom compiles to exactly one R_tok
+// leaf (fta.Compile duplicates no subexpression), and a leaf under NOT
+// sits on the right of a difference operator, which never passes a score
+// on. What has to be shown is that Join, Select, Project, Union, Intersect
+// and Diff cannot grow the leaves' aggregate. The property test in
+// bound_test.go holds both arguments against random queries and corpora.
+//
+// TF-IDF, for every plan. Let mass(R) be the sum of R's tuple scores on n;
+// all scores are ≥ 0, and IL_ANY and SearchContext tuples score 0. Join
+// conserves mass exactly: Σ_{a,b} (a/|R| + b/|L|) = mass(L) + mass(R).
+// Project sums collapsing tuples and Union adds matching ones (mass
+// unchanged), Select and Diff drop tuples and pass the rest through, and
+// Intersect takes a minimum. So the root's single tuple carries at most the
+// summed mass of the scoring leaves.
+//
+// PRA, for the fragment Analyze admits. Let N(R) = 1 − Π_t (1 − s_t), the
+// noisy-or of R's tuple scores s_t ∈ [0,1] — what projecting R to width 0
+// yields, and exactly UpperBound's quantity on a leaf. Project leaves N
+// unchanged; Select scales by f ≤ 1 and drops tuples, and Diff drops
+// tuples of its left input: neither raises N. Intersect keeps a subset of
+// either input's tuples, each multiplied by a partner ≤ 1, so its N is at
+// most that of an input the compiler did not pad. Union gives
+// 1 − (1−N(L))(1−N(R)) ≤ N(L) + N(R). For Join, whose tuples score l·r,
+// write x = Σ l, y = Σ r:
+//
+//   - if x ≤ 1 then for each r: Π_l (1 − l·r) ≥ 1 − r·x ≥ 1 − r
+//     (Weierstrass), so N(L ⋈ R) ≤ N(R); symmetrically if y ≤ 1;
+//   - otherwise N(L) ≥ 1 − e^−x > 0.63 and likewise N(R), so
+//     N(L) + N(R) > 1 ≥ N(L ⋈ R);
+//   - and if R has at most one tuple (width 0), N(L ⋈ R) ≤ N(L) whatever
+//     R's score is — which is how an ungrounded closed conjunct such as
+//     NOT 'b', scoring 1, stays out of the sum.
+//
+// Hence N(L ⋈ R) ≤ min(1, N(L) + N(R)), and by induction the root's score
+// is at most the summed leaf noisy-ors. The induction needs every operand
+// of a Join to be either grounded (so its N is covered by its own leaves)
+// or of width 0, and one grounded, unpadded operand of every Intersect. It
+// breaks where the compiler pads a scored relation with IL_ANY: those
+// tuples have probability 1, and one scored tuple joined with k positions
+// becomes k copies whose noisy-or approaches 1. Analyze therefore declines
+// the shapes that compile to such padding outside a NOT.
+//
+// Both arguments are in real arithmetic; boundSlack absorbs the
+// floating-point reassociation between them and the evaluated score.
 package wand
 
 import (
@@ -75,24 +132,24 @@ const boundSlack = 1 + 1e-9
 // Analysis is the token-level structure of an eligible query.
 type Analysis struct {
 	root lang.Query
-	// Tokens lists the distinct positively occurring query tokens in
-	// first-occurrence order. Tokens appearing only under NOT are in
+	// Tokens lists the distinct positively occurring query tokens — search
+	// literals and HAS atoms under an even number of NOTs — in
+	// first-occurrence order. Literals appearing only under NOT are in
 	// NegTokens instead.
 	Tokens []string
 	// Count is the positive query-leaf multiplicity per distinct token: a
 	// token appearing in k positive leaves can contribute at most k times
-	// its leaf upper bound to a document's score (join and union both add
-	// TF-IDF scores; PRA's product and noisy-or are dominated by the sum).
-	// Negated leaves never add score — they compile to difference
-	// operators, which only drop or pass through tuples — so they do not
-	// count.
+	// its leaf upper bound to a document's score (package comment). Negated
+	// leaves never add score — they compile to the right-hand side of
+	// difference operators, which only drop or pass through tuples — so
+	// they do not count.
 	Count map[string]int
 	// Required holds the tokens every matching document must contain
-	// (intersected across OR branches, unioned across AND; NOT branches
-	// require nothing).
+	// (intersected across OR branches, unioned across AND; NOT branches and
+	// predicates require nothing).
 	Required map[string]bool
-	// NegTokens lists the distinct tokens that occur only under NOT, in
-	// first-occurrence order. They carry no score upper bound; the
+	// NegTokens lists the distinct tokens whose literals occur only under
+	// NOT, in first-occurrence order. They carry no score upper bound; the
 	// evaluator aligns complement cursors over them solely to settle
 	// presence for Matches.
 	NegTokens []string
@@ -100,30 +157,67 @@ type Analysis struct {
 	negSet map[string]bool
 }
 
+// Reasons Analyze gives for declining a query.
+const (
+	DeclineEvery       = "every"        // EVERY quantifier
+	DeclineAny         = "any"          // the universal token ANY
+	DeclineHasAny      = "has-any"      // a variable ranging over all positions
+	DeclineUnboundPred = "unbound-pred" // predicate over a variable no sibling conjunct binds
+	DeclineOpenOr      = "open-or"      // OR branches over different variables
+	DeclinePaddedAnd   = "padded-and"   // conjuncts sharing only some of their variables
+	DeclineFreeNot     = "free-not"     // a NOT no grounded conjunct restricts
+)
+
 // Analyze inspects a normalized query and returns its token analysis when
-// the fast path can serve it: a combination of search tokens under And, Or
-// and Not that stays positively grounded — every matching document is
-// guaranteed to contain at least one positively occurring token, which is
-// what lets cursors over the positive lists enumerate all candidates. A
-// literal is grounded; an And is grounded if either branch is; an Or only
-// if both branches are; a Not never is (it matches token-free documents).
-// Anything else — ANY, HAS, quantifiers, position predicates, or a query
-// whose root is not grounded (e.g. a bare NOT 'a') — returns ok = false
-// and must use the exhaustive engine.
-func Analyze(q lang.Query) (*Analysis, bool) {
+// the fast path can serve it, or nil and a short reason when it cannot.
+//
+// The eligible fragment is the positively grounded existential one: search
+// tokens and HAS atoms under AND, OR, NOT and SOME, with position
+// predicates as filters — a predicate requires nothing, grounds nothing and
+// adds no score. Two requirements bound the fragment.
+//
+// Grounding: every matching document contains at least one positively
+// occurring token, which is what lets cursors over the positive lists
+// enumerate all candidates. A literal or a positive HAS atom is grounded;
+// an AND is grounded if either branch is; an OR only if both are; SOME is
+// transparent; a NOT never is (it matches token-free documents). A query
+// whose root is not grounded declines with DeclineFreeNot.
+//
+// Bound safety (package comment): outside every NOT the compiled plan must
+// not pair scored tuples with IL_ANY positions. fta.Compile introduces
+// IL_ANY for HAS ANY, for a predicate that is not a conjunct of a relation
+// binding all its variables, for OR branches over different variables, for
+// conjuncts that share only some of their variables, and for a NOT over
+// position variables unless a grounded conjunct binding those variables
+// intersects it. EVERY and ANY decline wherever they stand; otherwise
+// nothing inside a NOT is scored and any shape is allowed there.
+func Analyze(q lang.Query) (*Analysis, string) {
 	a := &Analysis{root: q, Count: make(map[string]int), negSet: make(map[string]bool)}
-	req, grounded, ok := a.scan(q, true)
-	if !ok || !grounded {
-		return nil, false
+	p, why := a.scan(q, true, true)
+	if why != "" {
+		return nil, why
 	}
-	a.Required = req
-	return a, true
+	if !p.grounded {
+		return nil, DeclineFreeNot
+	}
+	a.Required = p.req
+	return a, ""
+}
+
+// part is what scan learns about one subquery.
+type part struct {
+	req      map[string]bool // tokens every match of the subquery contains
+	grounded bool            // every match contains a positively occurring token
 }
 
 // scan walks the query at the given polarity (pos is false under an odd
-// number of NOTs), accumulating positive counts, negative-only tokens, the
-// required set, and the positively-grounded property.
-func (a *Analysis) scan(q lang.Query, pos bool) (req map[string]bool, grounded, ok bool) {
+// number of NOTs), accumulating positive counts and negative-only tokens,
+// and returns the subquery's required set and groundedness. scored is true
+// outside every NOT, where the bound-safety rules apply; they are stated
+// over the subqueries' free position variables, which are the columns of
+// the relations fta.Compile builds for them. A non-empty reason declines
+// the whole query.
+func (a *Analysis) scan(q lang.Query, pos, scored bool) (part, string) {
 	switch x := q.(type) {
 	case lang.Lit:
 		if !pos {
@@ -133,82 +227,186 @@ func (a *Analysis) scan(q lang.Query, pos bool) (req map[string]bool, grounded, 
 					a.NegTokens = append(a.NegTokens, x.Tok)
 				}
 			}
-			return map[string]bool{}, false, true
+			return part{req: map[string]bool{}}, ""
 		}
-		if a.Count[x.Tok] == 0 {
-			a.Tokens = append(a.Tokens, x.Tok)
-			// Promote a token first seen under NOT: it now has a scoring
-			// cursor, so it no longer needs a complement cursor.
-			if a.negSet[x.Tok] {
-				for i, t := range a.NegTokens {
-					if t == x.Tok {
-						a.NegTokens = append(a.NegTokens[:i], a.NegTokens[i+1:]...)
-						break
-					}
+		a.countPositive(x.Tok)
+		return part{req: map[string]bool{x.Tok: true}, grounded: true}, ""
+	case lang.Has:
+		if !pos {
+			// Matches never asks for the presence of a negated HAS token
+			// (see admits), so it needs no cursor of either kind.
+			return part{req: map[string]bool{}}, ""
+		}
+		a.countPositive(x.Tok)
+		return part{req: map[string]bool{x.Tok: true}, grounded: true}, ""
+	case lang.HasAny:
+		if scored {
+			return part{}, DeclineHasAny
+		}
+		return part{req: map[string]bool{}}, ""
+	case lang.Pred:
+		// A predicate that reaches scan is not the conjunct of a relation
+		// binding its variables (And handles those): it compiles to a
+		// selection over a product of IL_ANY.
+		if scored {
+			return part{}, DeclineUnboundPred
+		}
+		return part{req: map[string]bool{}}, ""
+	case lang.And:
+		// fta.Compile turns a predicate conjunct over columns the other
+		// conjunct already carries into a selection on it: a filter.
+		if p, ok := x.R.(lang.Pred); ok {
+			return a.scanFiltered(x.L, p, pos, scored)
+		}
+		if p, ok := x.L.(lang.Pred); ok {
+			return a.scanFiltered(x.R, p, pos, scored)
+		}
+		l, why := a.scan(x.L, pos, scored)
+		if why != "" {
+			return part{}, why
+		}
+		r, why := a.scan(x.R, pos, scored)
+		if why != "" {
+			return part{}, why
+		}
+		if scored {
+			lf, rf := lang.FreeVars(x.L), lang.FreeVars(x.R)
+			switch {
+			case disjoint(lf, rf):
+				// A join: each operand must be grounded or of width 0.
+				if (!l.grounded && len(lf) > 0) || (!r.grounded && len(rf) > 0) {
+					return part{}, DeclineFreeNot
 				}
+			case subset(rf, lf) && l.grounded, subset(lf, rf) && r.grounded:
+				// An intersection that pads only the side it is bounded
+				// without.
+			case subset(rf, lf) || subset(lf, rf):
+				return part{}, DeclineFreeNot
+			default:
+				return part{}, DeclinePaddedAnd
 			}
 		}
-		a.Count[x.Tok]++
-		return map[string]bool{x.Tok: true}, true, true
-	case lang.And:
-		l, gl, ok := a.scan(x.L, pos)
-		if !ok {
-			return nil, false, false
+		for t := range r.req {
+			l.req[t] = true
 		}
-		r, gr, ok := a.scan(x.R, pos)
-		if !ok {
-			return nil, false, false
-		}
-		for t := range r {
-			l[t] = true
-		}
-		return l, gl || gr, true
+		return part{req: l.req, grounded: l.grounded || r.grounded}, ""
 	case lang.Or:
-		l, gl, ok := a.scan(x.L, pos)
-		if !ok {
-			return nil, false, false
+		l, why := a.scan(x.L, pos, scored)
+		if why != "" {
+			return part{}, why
 		}
-		r, gr, ok := a.scan(x.R, pos)
-		if !ok {
-			return nil, false, false
+		r, why := a.scan(x.R, pos, scored)
+		if why != "" {
+			return part{}, why
+		}
+		if scored {
+			if lf, rf := lang.FreeVars(x.L), lang.FreeVars(x.R); !subset(lf, rf) || !subset(rf, lf) {
+				return part{}, DeclineOpenOr
+			}
 		}
 		both := make(map[string]bool)
-		for t := range l {
-			if r[t] {
+		for t := range l.req {
+			if r.req[t] {
 				both[t] = true
 			}
 		}
-		return both, gl && gr, true
+		return part{req: both, grounded: l.grounded && r.grounded}, ""
 	case lang.Not:
-		if _, _, ok := a.scan(x.Q, !pos); !ok {
-			return nil, false, false
+		if _, why := a.scan(x.Q, !pos, false); why != "" {
+			return part{}, why
 		}
-		return map[string]bool{}, false, true
-	default:
-		return nil, false, false
+		return part{req: map[string]bool{}}, ""
+	case lang.Some:
+		return a.scan(x.Q, pos, scored)
+	case lang.Every:
+		return part{}, DeclineEvery
+	default: // lang.Any
+		return part{}, DeclineAny
 	}
 }
 
-// Matches evaluates the query's Boolean structure over token presence. For
-// the eligible fragment a node qualifies iff Matches is true of its token
-// set, so candidates failing it are skipped without touching the algebra.
-func (a *Analysis) Matches(present func(tok string) bool) bool {
-	var rec func(q lang.Query) bool
-	rec = func(q lang.Query) bool {
-		switch x := q.(type) {
-		case lang.Lit:
-			return present(x.Tok)
-		case lang.And:
-			return rec(x.L) && rec(x.R)
-		case lang.Or:
-			return rec(x.L) || rec(x.R)
-		case lang.Not:
-			return !rec(x.Q)
-		default:
+// scanFiltered scans a conjunction of q with the predicate p: a filter on
+// q's relation when q binds every variable of p.
+func (a *Analysis) scanFiltered(q lang.Query, p lang.Pred, pos, scored bool) (part, string) {
+	if scored && !subset(p.Vars, lang.FreeVars(q)) {
+		return part{}, DeclineUnboundPred
+	}
+	return a.scan(q, pos, scored)
+}
+
+// countPositive records one positive leaf of tok.
+func (a *Analysis) countPositive(tok string) {
+	if a.Count[tok] == 0 {
+		a.Tokens = append(a.Tokens, tok)
+		// Promote a token first seen under NOT: it now has a scoring
+		// cursor, so it no longer needs a complement cursor.
+		if a.negSet[tok] {
+			for i, t := range a.NegTokens {
+				if t == tok {
+					a.NegTokens = append(a.NegTokens[:i], a.NegTokens[i+1:]...)
+					break
+				}
+			}
+		}
+	}
+	a.Count[tok]++
+}
+
+// subset and disjoint compare sets of variable names; the second argument
+// is sorted, as lang.FreeVars returns it.
+func subset(sub, super []string) bool {
+	for _, v := range sub {
+		if i := sort.SearchStrings(super, v); i == len(super) || super[i] != v {
 			return false
 		}
 	}
-	return rec(a.root)
+	return true
+}
+
+func disjoint(a, b []string) bool {
+	for _, v := range a {
+		if subset([]string{v}, b) {
+			return false
+		}
+	}
+	return true
+}
+
+// Matches is a necessary condition on a candidate's token set: a document
+// the algebra accepts always satisfies it, so candidates failing it are
+// skipped without touching the algebra. For a query of search tokens alone
+// it is also sufficient. The candidate must be a non-empty document, which
+// every document a positive cursor surfaces is.
+func (a *Analysis) Matches(present func(tok string) bool) bool {
+	return admits(a.root, true, present)
+}
+
+// admits approximates q over token presence from the side that can never
+// prune a match. With upper set (an even number of NOTs above q) it returns
+// true whenever q holds for some assignment of its free variables; without,
+// it returns true only if q holds for every assignment. NOT swaps the two,
+// so what presence cannot settle — a position predicate, a HAS atom asked
+// whether it holds everywhere — resolves to true under an even number of
+// NOTs and to false under an odd number.
+func admits(q lang.Query, upper bool, present func(tok string) bool) bool {
+	switch x := q.(type) {
+	case lang.Lit:
+		return present(x.Tok)
+	case lang.Has:
+		return upper && present(x.Tok)
+	case lang.And:
+		return admits(x.L, upper, present) && admits(x.R, upper, present)
+	case lang.Or:
+		return admits(x.L, upper, present) || admits(x.R, upper, present)
+	case lang.Not:
+		return !admits(x.Q, !upper, present)
+	case lang.Some:
+		// ∃v q holds wherever q holds for every v only because the
+		// candidate has at least one position.
+		return admits(x.Q, upper, present)
+	default: // lang.Pred, lang.HasAny
+		return upper
+	}
 }
 
 // Stats counts fast-path work for instrumentation and benchmarks.
@@ -348,8 +546,8 @@ type evaluator struct {
 
 // Eval runs the fast path: the top k matches of an Analyze-eligible query,
 // identical — results and scores — to evaluating the plan exhaustively,
-// ranking with score.Rank and truncating to k. ev must carry the same
-// Scorer as sc. shared, when non-nil, is the cross-shard threshold: Eval
+// ranking with score.Rank and truncating to k. plan must have passed
+// fta.ValidateQuery, and ev must carry the same Scorer as sc. shared, when non-nil, is the cross-shard threshold: Eval
 // prunes against it and publishes its own K-th-best into it, and may then
 // return fewer than its local top k — only documents that provably cannot
 // enter the global top k are dropped, so a global top-K merge over all
@@ -358,9 +556,6 @@ type evaluator struct {
 func Eval(ev *fta.Evaluator, plan fta.Expr, a *Analysis, sc Scorer, k int, shared *Shared, st *Stats, live Live) ([]score.Ranked, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("wand: top-K must be positive, got %d", k)
-	}
-	if err := fta.ValidateQuery(plan, ev.Reg); err != nil {
-		return nil, err
 	}
 	if st == nil {
 		st = &Stats{}

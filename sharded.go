@@ -499,6 +499,18 @@ func (s *ShardedIndex) Explain(q *Query) (string, error) {
 	return fmt.Sprintf("shards: %d over %d segments (parallel fan-out, merge)\n%s", len(s.shards), segs, plan), nil
 }
 
+// RankedPath reports which path a top-K ranked search of q takes (see
+// Index.RankedPath).
+func (s *ShardedIndex) RankedPath(q *Query) (string, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	rp, err := planRanked(q, s.analyzer, s.reg, 1, RankOptions{})
+	if err != nil {
+		return "", err
+	}
+	return rp.path(), nil
+}
+
 // Search evaluates the query with the automatically selected engine on
 // every shard in parallel and merges in document order.
 func (s *ShardedIndex) Search(q *Query) ([]Match, error) {
@@ -629,29 +641,33 @@ func (s *ShardedIndex) SearchRankedOpts(q *Query, m ScoringModel, topK int, o Ra
 	if timed {
 		t0 = time.Now()
 	}
-	ast := rewriteQueryTokens(q.ast, s.analyzer)
-	if err := lang.Validate(ast, s.reg); err != nil {
+	// Plan once: rewriting, validation, normalization, compilation and the
+	// fast-path analysis depend on the query alone, and every segment shares
+	// the analyzer and the registry.
+	rp, err := planRanked(q, s.analyzer, s.reg, topK, o)
+	if err != nil {
 		return nil, err
 	}
-	norm := lang.Normalize(ast, s.reg)
 	if timed {
 		d := time.Since(t0)
 		if tel != nil {
 			tel.planH.Observe(d.Seconds())
 		}
-		tr.ChildDone("plan", d)
+		if sp := tr.ChildDone("plan", d); sp != nil {
+			sp.Annotate("ranked_path", rp.path())
+		}
 	}
 	var shared *wand.Shared
-	if topK > 0 && !o.Exhaustive && !o.NoThresholdSharing {
+	if rp.wand != nil && !o.NoThresholdSharing {
 		shared = wand.NewShared()
 	}
-	order := s.fanoutOrder(norm, m, o, shared)
+	order := s.fanoutOrder(rp, m, o, shared)
 	lists := make([][]shard.Doc, len(s.shards))
-	err := shard.FanoutOrdered(order, 0, func(i int) error {
+	err = shard.FanoutOrdered(order, 0, func(i int) error {
 		sp, st := s.startShardSpan(tel, tr, i)
 		segLists := make([][]shard.Doc, 0, len(s.shards[i]))
 		for _, sg := range s.shards[i] {
-			ranked, err := sg.ix.rankedNodes(norm, m, s.cstats, topK, o, shared, sg.meta.LiveFilter())
+			ranked, err := sg.ix.rankedNodes(rp, m, s.cstats, topK, o, shared, sg.meta.LiveFilter())
 			if err != nil {
 				return err
 			}
@@ -693,7 +709,7 @@ func (s *ShardedIndex) SearchRankedOpts(q *Query, m ScoringModel, topK int, o Ra
 // cold segment (no cached statistics yet) gets an infinite bound and runs
 // early, warming it where the wait is least likely to be on the critical
 // path's tail.
-func (s *ShardedIndex) fanoutOrder(norm lang.Query, m ScoringModel, o RankOptions, shared *wand.Shared) []int {
+func (s *ShardedIndex) fanoutOrder(rp *rankedPlan, m ScoringModel, o RankOptions, shared *wand.Shared) []int {
 	order := make([]int, len(s.shards))
 	for i := range order {
 		order[i] = i
@@ -701,15 +717,11 @@ func (s *ShardedIndex) fanoutOrder(norm lang.Query, m ScoringModel, o RankOption
 	if shared == nil || o.NoAdaptiveFanout || len(s.shards) < 2 {
 		return order
 	}
-	a, ok := wand.Analyze(norm)
-	if !ok {
-		return order
-	}
 	bounds := make([]float64, len(s.shards))
 	for i, segs := range s.shards {
 		b := math.Inf(-1)
 		for _, sg := range segs {
-			ub, ok := sg.ix.rankedUpperBound(norm, m, s.cstats, a)
+			ub, ok := sg.ix.rankedUpperBound(rp, m, s.cstats)
 			if !ok {
 				b = math.Inf(1)
 				break

@@ -14,7 +14,9 @@ import (
 
 // wandCorpus is built for adversarial ranking: common and rare tokens,
 // multi-token overlaps, and exact duplicates (d07/d08/d09 and d14/d15) so
-// score ties are guaranteed at several K boundaries.
+// score ties are guaranteed at several K boundaries. d21-d24 span
+// sentences and paragraphs and repeat tokens, so position predicates have
+// something to reject and PRA leaves aggregate several tuples.
 func wandCorpus() []struct{ id, text string } {
 	return []struct{ id, text string }{
 		{"d01", "alpha beta gamma delta"},
@@ -37,6 +39,10 @@ func wandCorpus() []struct{ id, text string } {
 		{"d18", "beta filler twelve"},
 		{"d19", "alpha beta gamma"},
 		{"d20", "rare delta"},
+		{"d21", "alpha beta. gamma delta\n\nalpha filler beta gamma"},
+		{"d22", "beta alpha gamma\n\ndelta alpha"},
+		{"d23", "gamma filler filler filler alpha beta"},
+		{"d24", "alpha alpha alpha beta beta gamma gamma"},
 	}
 }
 
@@ -70,10 +76,32 @@ func buildWandIndexes(t testing.TB) (*Index, []*ShardedIndex) {
 	return single, sharded
 }
 
+// positionalQueries are the proximity shapes the fast path serves: HAS
+// atoms drive the cursors, the predicates filter the survivors.
+func positionalQueries() []*Query {
+	return []*Query{
+		MustParse(DIST, `dist('alpha','beta',2)`),
+		MustParse(DIST, `dist('alpha','beta',0)`),
+		MustParse(DIST, `'gamma' AND dist('alpha','beta',3)`),
+		MustParse(DIST, `'alpha beta'`),
+		MustParse(DIST, `dist('alpha','alpha',1)`), // one token in two HAS slots
+		MustParse(DIST, `dist('alpha','beta',1) AND NOT 'rare'`),
+		MustParse(DIST, `dist('alpha','beta',1) OR dist('gamma','delta',1)`),
+		MustParse(DIST, `dist('alpha','missing',4)`),
+		MustParse(COMP, `SOME p1 SOME p2 (p1 HAS 'alpha' AND p2 HAS 'beta' AND distance(p1,p2,2) AND ordered(p1,p2))`),
+		MustParse(COMP, `SOME p1 SOME p2 SOME p3 (p1 HAS 'alpha' AND p2 HAS 'beta' AND p3 HAS 'gamma' AND samepara(p1,p2) AND distance(p2,p3,2))`),
+		MustParse(COMP, `SOME p1 SOME p2 SOME p3 (p1 HAS 'alpha' AND p2 HAS 'beta' AND p3 HAS 'gamma' AND window3(p1,p2,p3,4) AND ordered(p1,p2) AND samepara(p1,p3))`),
+		MustParse(COMP, `SOME p1 SOME p2 (p1 HAS 'alpha' AND p2 HAS 'beta' AND not_distance(p1,p2,1))`),
+		MustParse(COMP, `SOME p1 SOME p2 (p1 HAS 'alpha' AND p2 HAS 'gamma' AND NOT samesent(p1,p2))`), // desugars to not_samesent
+		MustParse(COMP, `SOME p (p HAS 'rare' OR p HAS 'dup')`),
+		MustParse(COMP, `SOME p1 (p1 HAS 'alpha' AND NOT SOME p2 (p2 HAS 'beta' AND distance(p1,p2,1)))`),
+	}
+}
+
 // wandMatrixQueries returns the query matrix: eligible fast-path queries
 // and fallback queries per dialect.
 func wandMatrixQueries() []*Query {
-	return []*Query{
+	return append(positionalQueries(),
 		// BOOL: eligible positive token combinations.
 		MustParse(BOOL, `'alpha'`),
 		MustParse(BOOL, `'rare'`),
@@ -97,14 +125,15 @@ func wandMatrixQueries() []*Query {
 		// BOOL: fallback (ungrounded negation, ANY).
 		MustParse(BOOL, `NOT 'alpha'`),
 		MustParse(BOOL, `ANY AND 'rare'`),
-		// DIST: eligible when no dist construct, fallback with one.
 		MustParse(DIST, `'beta' OR 'delta'`),
-		MustParse(DIST, `dist('alpha','beta',2)`),
-		// COMP: eligible bare-token form, fallback with quantifiers.
 		MustParse(COMP, `'alpha' OR 'gamma'`),
 		MustParse(COMP, `SOME p (p HAS 'alpha' AND p HAS 'alpha')`),
-		MustParse(COMP, `SOME p1 SOME p2 (p1 HAS 'alpha' AND p2 HAS 'beta' AND ordered(p1,p2))`),
-	}
+		// COMP: fallback (EVERY, a variable over all positions, OR over
+		// different variables).
+		MustParse(COMP, `'alpha' AND EVERY p (NOT p HAS 'rare')`),
+		MustParse(DIST, `dist('rare',ANY,1)`),
+		MustParse(COMP, `SOME p1 SOME p2 ((p1 HAS 'rare' OR p2 HAS 'dup') AND distance(p1,p2,1))`),
+	)
 }
 
 // TestWandEquivalenceMatrix cross-checks the fast path against the
@@ -114,7 +143,7 @@ func wandMatrixQueries() []*Query {
 func TestWandEquivalenceMatrix(t *testing.T) {
 	single, sharded := buildWandIndexes(t)
 	models := []ScoringModel{TFIDF, PRA}
-	ks := []int{1, 2, 3, 4, 5, 7, 100}
+	ks := []int{1, 2, 3, 4, 5, 7, 10, 100}
 	for _, q := range wandMatrixQueries() {
 		for _, m := range models {
 			for _, k := range ks {
@@ -230,6 +259,29 @@ func TestWandFastPathEngages(t *testing.T) {
 		t.Fatalf("grounded NOT query did not take the fast path: %+v -> %+v", before, after)
 	}
 
+	// Proximity queries are eligible: the HAS tokens' cursors intersect, so
+	// the fast path surfaces only documents holding both words, not all 24.
+	for _, q := range positionalQueries() {
+		before = single.RankedEvalStats()
+		if _, err := single.SearchRanked(q, PRA, 3); err != nil {
+			t.Fatal(err)
+		}
+		after = single.RankedEvalStats()
+		if after.FastPathQueries != before.FastPathQueries+1 || after.ExhaustiveQueries != before.ExhaustiveQueries {
+			t.Fatalf("%s did not take the fast path: %+v -> %+v", q, before, after)
+		}
+		if path, err := single.RankedPath(q); err != nil || path != "wand" {
+			t.Fatalf("%s: RankedPath = %q, %v, want wand", q, path, err)
+		}
+	}
+	before = single.RankedEvalStats()
+	if _, err := single.SearchRanked(MustParse(DIST, `dist('rare','dup',3)`), TFIDF, 3); err != nil {
+		t.Fatal(err)
+	}
+	if after = single.RankedEvalStats(); after.CandidateDocs != before.CandidateDocs {
+		t.Fatalf("dist over two words no document shares surfaced %d candidates", after.CandidateDocs-before.CandidateDocs)
+	}
+
 	// Ineligible query: must fall back and say so.
 	before = single.RankedEvalStats()
 	if _, err := single.SearchRanked(MustParse(BOOL, `NOT 'alpha'`), TFIDF, 3); err != nil {
@@ -240,6 +292,17 @@ func TestWandFastPathEngages(t *testing.T) {
 		t.Fatalf("NOT query did not fall back to the exhaustive engine: %+v -> %+v", before, after)
 	}
 
+	for src, want := range map[string]string{
+		`NOT 'alpha'`:                          "exhaustive (free-not)",
+		`'alpha' AND EVERY p (NOT p HAS 'x')`:  "exhaustive (every)",
+		`dist('alpha',ANY,2)`:                  "exhaustive (unbound-pred)",
+		`SOME p (p HAS ANY AND p HAS 'alpha')`: "exhaustive (has-any)",
+	} {
+		if path, err := single.RankedPath(MustParse(COMP, src)); err != nil || path != want {
+			t.Fatalf("%s: RankedPath = %q, %v, want %q", src, path, err, want)
+		}
+	}
+
 	// topK <= 0 always takes the exhaustive path.
 	before = single.RankedEvalStats()
 	if _, err := single.SearchRanked(MustParse(BOOL, `'alpha'`), TFIDF, 0); err != nil {
@@ -248,6 +311,48 @@ func TestWandFastPathEngages(t *testing.T) {
 	after = single.RankedEvalStats()
 	if after.ExhaustiveQueries != before.ExhaustiveQueries+1 {
 		t.Fatalf("topK=0 did not use the exhaustive engine: %+v -> %+v", before, after)
+	}
+}
+
+// TestWandCustomPredicateIsAFilter: a registered predicate is a selection
+// like any other, so a ranked query using one keeps the fast path.
+func TestWandCustomPredicateIsAFilter(t *testing.T) {
+	single, sharded := buildWandIndexes(t)
+	evenGap := func(ords []int32, _ []int) bool { return (ords[0]-ords[1])%2 == 0 }
+	if err := single.RegisterPredicate("evengap", 2, 0, evenGap); err != nil {
+		t.Fatal(err)
+	}
+	six := sharded[1]
+	if err := six.RegisterPredicate("evengap", 2, 0, evenGap); err != nil {
+		t.Fatal(err)
+	}
+	q := MustParse(COMP, `SOME p1 SOME p2 (p1 HAS 'alpha' AND p2 HAS 'gamma' AND evengap(p1,p2))`)
+	if path, err := single.RankedPath(q); err != nil || path != "wand" {
+		t.Fatalf("RankedPath = %q, %v, want wand", path, err)
+	}
+	for _, m := range []ScoringModel{TFIDF, PRA} {
+		for _, k := range []int{1, 4, 100} {
+			want, err := single.SearchRankedOpts(q, m, k, RankOptions{Exhaustive: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k == 100 && len(want) == 0 {
+				t.Fatal("the custom predicate matches nothing: the test is vacuous")
+			}
+			got, err := single.SearchRanked(q, m, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("model=%d k=%d: wand %v, exhaustive %v", m, k, got, want)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("model=%d k=%d: wand %v, exhaustive %v", m, k, got, want)
+				}
+			}
+			checkRankedEquivalence(t, fmt.Sprintf("custom model=%d k=%d", m, k), six, q, m, k)
+		}
 	}
 }
 
