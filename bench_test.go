@@ -14,7 +14,6 @@ import (
 
 	"fulltext/internal/bench"
 	"fulltext/internal/booleval"
-	"fulltext/internal/compeval"
 	"fulltext/internal/core"
 	"fulltext/internal/invlist"
 	"fulltext/internal/npred"
@@ -174,29 +173,6 @@ func BenchmarkAblationNPREDOrders(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := plan.RunAll(env.ix, reg, nil, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationCompMaterialize compares node-at-a-time evaluation
-// against full materialization in the COMP engine.
-func BenchmarkAblationCompMaterialize(b *testing.B) {
-	s := benchSetup()
-	s.CNodes = 400
-	env := builtEnv(b, s)
-	reg := pred.Default()
-	w := synth.Workload{Tokens: 3, Preds: 2, DistLimit: s.DistLimit}
-	q := w.PipelinedQuery(env.plants)
-	for name, opts := range map[string]compeval.Options{
-		"node-at-a-time": {},
-		"full":           {FullMaterialize: true},
-	} {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := compeval.Eval(q, env.ix, reg, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -138,12 +138,17 @@ func TestExplainStatsHealthz(t *testing.T) {
 	// when it is not the fast path.
 	for q, want := range map[string]string{
 		"dist('test','usability',3)":     "ranked path: wand\n",
-		"'test' AND EVERY p (p HAS ANY)": "ranked path: exhaustive (every)\n",
+		"'test' AND EVERY p (p HAS ANY)": "ranked path: exhaustive (every, candidates)\n",
 	} {
 		getJSON(t, ts.URL+"/explain?lang=comp&rank=pra&q="+url.QueryEscape(q), http.StatusOK, &ex)
 		if !strings.HasSuffix(ex["plan"], want) {
 			t.Fatalf("explain %s: plan %q does not end with %q", q, ex["plan"], want)
 		}
+	}
+	// A COMP-class plan names the nodes the complete engine evaluates.
+	getJSON(t, ts.URL+"/explain?lang=comp&q="+url.QueryEscape("'test' AND EVERY p (p HAS ANY)"), http.StatusOK, &ex)
+	if !strings.Contains(ex["plan"], "\ncandidates: ∩[test]\n") {
+		t.Fatalf("COMP explain does not name its candidates: %q", ex["plan"])
 	}
 	getJSON(t, ts.URL+"/explain?q='test'&lang=bool&rank=sideways", http.StatusBadRequest, &ex)
 

@@ -42,6 +42,8 @@ package fulltext
 
 import (
 	"fmt"
+	"sort"
+	"sync"
 	"sync/atomic"
 
 	"fulltext/internal/booleval"
@@ -280,10 +282,14 @@ func (rc *rankedCounters) addWand(ws wand.Stats) {
 	rc.blockSkips.Add(ws.BlocksSkipped)
 }
 
-func (rc *rankedCounters) addExhaustive(nodes int) {
+// addExhaustive counts one exhaustive evaluation: the 1..N scan, which
+// scores every node, or the candidate loop of a grounded query.
+func (rc *rankedCounters) addExhaustive(ws wand.Stats) {
 	rc.exhaustive.Add(1)
-	rc.candidates.Add(uint64(nodes))
-	rc.scored.Add(uint64(nodes))
+	rc.candidates.Add(ws.Candidates)
+	rc.scored.Add(ws.Scored)
+	rc.tombstoned.Add(ws.Tombstoned)
+	rc.seeks.Add(ws.Seeks)
 }
 
 // RankedEvalStats is a snapshot of cumulative ranked-evaluation work: how
@@ -292,18 +298,19 @@ func (rc *rankedCounters) addExhaustive(nodes int) {
 // threshold. The unit is one per-index evaluation — on a ShardedIndex
 // every segment of every shard counts separately, so a single sharded
 // query increments the query counters once per segment. The exhaustive
-// scan counts every context node as scored — that is exactly the work the
-// fast path exists to avoid, so ScoredDocs is the number benchmarks
-// compare.
+// 1..N scan counts every context node as scored — that is exactly the work
+// the fast path exists to avoid, so ScoredDocs is the number benchmarks
+// compare; an exhaustive evaluation of a grounded query counts only the
+// candidates its posting lists name.
 type RankedEvalStats struct {
 	FastPathQueries   uint64 // per-index fast-path evaluations (segments count individually)
 	ExhaustiveQueries uint64 // per-index exhaustive scans (segments count individually)
 	CandidateDocs     uint64
 	ScoredDocs        uint64
 	BoundSkippedDocs  uint64
-	// TombstonedDocs counts fast-path candidates dropped because they were
-	// deleted documents awaiting compaction — the per-query cost of
-	// tombstones between merges.
+	// TombstonedDocs counts candidates dropped, before evaluation, because
+	// they were deleted documents awaiting compaction — the per-query cost
+	// of tombstones between merges.
 	TombstonedDocs uint64
 	CursorSeeks    uint64
 	// BlocksSkipped counts posting-list block boundaries crossed through
@@ -405,59 +412,116 @@ func (ix *Index) SearchWith(q *Query, e Engine) ([]Match, error) {
 		return nil, err
 	}
 	norm := lang.Normalize(ast, ix.reg)
-	nodes, _, err := ix.dispatch(norm, e)
+	nodes, _, err := ix.dispatch(planUnranked(norm, ix.reg), e, nil)
 	if err != nil {
 		return nil, err
 	}
 	return ix.matches(nodes, nil), nil
 }
 
-func (ix *Index) dispatch(norm lang.Query, e Engine) ([]core.NodeID, Engine, error) {
+// unranked is the per-query part of an unranked search, shared read-only
+// by every segment it runs on: the normalized query and its COMP plan,
+// built on first use — most queries never need one.
+type unranked struct {
+	norm lang.Query
+	comp func() (*compPlan, error)
+}
+
+func planUnranked(norm lang.Query, reg *pred.Registry) *unranked {
+	return &unranked{norm: norm, comp: sync.OnceValues(func() (*compPlan, error) { return planComp(norm, reg) })}
+}
+
+// compPlan is what the complete engine needs of a query under EngineAuto:
+// the validated algebra plan and its grounding analysis.
+type compPlan struct {
+	plan fta.Expr
+	an   *wand.Analysis
+}
+
+func planComp(norm lang.Query, reg *pred.Registry) (*compPlan, error) {
+	plan, err := compeval.Compile(norm, reg)
+	if err != nil {
+		return nil, err
+	}
+	if err := fta.ValidateQuery(plan, reg); err != nil {
+		return nil, err
+	}
+	return &compPlan{plan: plan, an: wand.Analyze(norm)}, nil
+}
+
+// dispatch evaluates a query on this index with engine e. live, when
+// non-nil, drops tombstoned nodes from a candidate loop before they are
+// evaluated. The string names the nodes EngineAuto's complete engine
+// evaluated, as Explain prints it, and is empty for every other engine.
+func (ix *Index) dispatch(u *unranked, e Engine, live wand.Live) ([]core.NodeID, string, error) {
+	norm := u.norm
 	switch e {
 	case EngineAuto:
 		switch lang.Classify(norm, ix.reg) {
 		case lang.ClassBoolNoNeg, lang.ClassBool:
 			nodes, err := booleval.Eval(norm, ix.inv, nil)
-			return nodes, EngineBOOL, err
+			return nodes, "", err
 		case lang.ClassPPred:
 			if plan, err := ppred.Compile(norm, ix.reg); err == nil {
 				nodes, err := plan.Run(ix.inv, ix.reg, nil)
 				if err == nil {
-					return nodes, EnginePPRED, nil
+					return nodes, "", nil
 				}
 			}
 			// The classifier is syntactic; fall back when planning fails.
-			nodes, err := compeval.Eval(norm, ix.inv, ix.reg, compeval.Options{})
-			return nodes, EngineCOMP, err
 		case lang.ClassNPred:
 			if nodes, err := npred.Run(norm, ix.reg, ix.inv, nil, npred.Options{}); err == nil {
-				return nodes, EngineNPRED, nil
+				return nodes, "", nil
 			}
-			nodes, err := compeval.Eval(norm, ix.inv, ix.reg, compeval.Options{})
-			return nodes, EngineCOMP, err
-		default:
-			nodes, err := compeval.Eval(norm, ix.inv, ix.reg, compeval.Options{})
-			return nodes, EngineCOMP, err
 		}
+		return ix.runComp(u, live)
 	case EngineBOOL:
 		nodes, err := booleval.Eval(norm, ix.inv, nil)
-		return nodes, EngineBOOL, err
+		return nodes, "", err
 	case EnginePPRED:
 		plan, err := ppred.Compile(norm, ix.reg)
 		if err != nil {
-			return nil, EnginePPRED, err
+			return nil, "", err
 		}
 		nodes, err := plan.Run(ix.inv, ix.reg, nil)
-		return nodes, EnginePPRED, err
+		return nodes, "", err
 	case EngineNPRED:
 		nodes, err := npred.Run(norm, ix.reg, ix.inv, nil, npred.Options{})
-		return nodes, EngineNPRED, err
+		return nodes, "", err
 	case EngineCOMP:
+		// The forced engine keeps the 1..N scan: it is the oracle the
+		// candidate loop is checked against.
 		nodes, err := compeval.Eval(norm, ix.inv, ix.reg, compeval.Options{})
-		return nodes, EngineCOMP, err
+		return nodes, "", err
 	default:
-		return nil, e, fmt.Errorf("fulltext: unknown engine %d", e)
+		return nil, "", fmt.Errorf("fulltext: unknown engine %d", e)
 	}
+}
+
+// runComp evaluates the query on the complete engine: on the candidates
+// its grounding cover names, or by the 1..N scan when it has none.
+func (ix *Index) runComp(u *unranked, live wand.Live) ([]core.NodeID, string, error) {
+	cp, err := u.comp()
+	if err != nil {
+		return nil, "", err
+	}
+	ev := &fta.Evaluator{Index: ix.inv, Reg: ix.reg}
+	if !cp.an.Grounded {
+		res, err := ev.Eval(cp.plan)
+		if err != nil {
+			return nil, "", err
+		}
+		return res.Nodes, cp.an.Source(), nil
+	}
+	ms, err := wand.Collect(ev, cp.plan, cp.an, nil, live)
+	if err != nil {
+		return nil, "", err
+	}
+	nodes := make([]core.NodeID, len(ms))
+	for i, m := range ms {
+		nodes[i] = m.Node
+	}
+	return nodes, cp.an.Source(), nil
 }
 
 // RankOptions tunes ranked evaluation.
@@ -515,9 +579,9 @@ func (r *EvalRecorder) addWand(ws wand.Stats) {
 	}
 }
 
-func (r *EvalRecorder) addExhaustive(nodes int) {
+func (r *EvalRecorder) addExhaustive(ws wand.Stats) {
 	if r != nil {
-		r.rc.addExhaustive(nodes)
+		r.rc.addExhaustive(ws)
 	}
 }
 
@@ -529,9 +593,10 @@ func (r *EvalRecorder) addExhaustive(nodes int) {
 // fast path: cached index statistics make model construction O(query
 // tokens), posting-list cursors enumerate only documents that can match,
 // and top-K early termination skips documents whose score upper bound
-// cannot reach the running K-th best. Everything else falls back to the
-// exhaustive complete-engine scan (RankedPath says which, and why); both
-// paths return identical results and scores.
+// cannot reach the running K-th best. Everything else takes the exhaustive
+// path (RankedPath says which, and why): it evaluates every match — the
+// candidates a grounded query's posting lists name, or every node — and
+// ranks them all. Both paths return identical results and scores.
 func (ix *Index) SearchRanked(q *Query, m ScoringModel, topK int) ([]Match, error) {
 	return ix.SearchRankedOpts(q, m, topK, RankOptions{})
 }
@@ -559,7 +624,8 @@ func (ix *Index) SearchRankedOpts(q *Query, m ScoringModel, topK int, o RankOpti
 type rankedPlan struct {
 	tokens []string       // the query's search tokens (score.TokensOf)
 	plan   fta.Expr       // the validated algebra plan both paths evaluate
-	wand   *wand.Analysis // nil when the query takes the exhaustive scan
+	wand   *wand.Analysis // nil when the query takes the exhaustive path
+	cand   *wand.Analysis // the exhaustive path's candidates; nil: 1..N scan
 	why    string         // why wand is nil
 }
 
@@ -581,21 +647,34 @@ func planRanked(q *Query, an *text.Analyzer, reg *pred.Registry, topK int, o Ran
 		return nil, err
 	}
 	rp := &rankedPlan{tokens: score.TokensOf(norm), plan: plan}
-	switch {
-	case o.Exhaustive:
+	if o.Exhaustive {
+		// The forced path keeps the 1..N scan: it is the oracle.
 		rp.why = "forced"
+		return rp, nil
+	}
+	a := wand.Analyze(norm)
+	switch {
 	case topK <= 0:
 		rp.why = "no top-K"
+	case a.Decline != "":
+		rp.why = a.Decline
 	default:
-		rp.wand, rp.why = wand.Analyze(norm)
+		rp.wand = a
+		return rp, nil
+	}
+	if a.Grounded {
+		rp.cand = a
 	}
 	return rp, nil
 }
 
 // path names the ranked evaluation path for spans and Explain.
 func (rp *rankedPlan) path() string {
-	if rp.wand != nil {
+	switch {
+	case rp.wand != nil:
 		return "wand"
+	case rp.cand != nil:
+		return "exhaustive (" + rp.why + ", candidates)"
 	}
 	return "exhaustive (" + rp.why + ")"
 }
@@ -618,10 +697,11 @@ func (ix *Index) scorerFor(tokens []string, m ScoringModel, st score.CorpusStats
 // rankedNodes scores a planned query against the collection statistics st
 // — the index's own inverted lists for a standalone index, or global
 // statistics when the index is one segment of a ShardedIndex — returning
-// the top topK (all matches when topK <= 0). Queries wand.Analyze admits
+// the top topK (all matches when topK <= 0). Queries the WAND bound admits
 // run the WAND fast path; shared, when non-nil, is the cross-shard pruning
 // threshold; live, when non-nil, filters tombstoned documents out before
-// ranking (and before topK truncation).
+// ranking (and before topK truncation) — before they are evaluated, except
+// on the 1..N scan.
 func (ix *Index) rankedNodes(rp *rankedPlan, m ScoringModel, st score.CorpusStats, topK int, o RankOptions, shared *wand.Shared, live wand.Live) ([]score.Ranked, error) {
 	scorer, err := ix.scorerFor(rp.tokens, m, st)
 	if err != nil {
@@ -638,21 +718,39 @@ func (ix *Index) rankedNodes(rp *rankedPlan, m ScoringModel, st score.CorpusStat
 		o.Recorder.addWand(ws)
 		return ranked, nil
 	}
-	res, err := ev.Eval(rp.plan)
-	if err != nil {
-		return nil, err
-	}
-	ix.rc.addExhaustive(ix.inv.NumNodes())
-	o.Recorder.addExhaustive(ix.inv.NumNodes())
-	ranked := score.Rank(res)
-	if live != nil {
-		kept := ranked[:0]
-		for _, r := range ranked {
-			if live(r.Node) {
-				kept = append(kept, r)
-			}
+	var ranked []score.Ranked
+	if rp.cand != nil {
+		var ws wand.Stats
+		if ranked, err = wand.Collect(ev, rp.plan, rp.cand, &ws, live); err != nil {
+			return nil, err
 		}
-		ranked = kept
+		ix.rc.addExhaustive(ws)
+		o.Recorder.addExhaustive(ws)
+		// score.Rank's order: descending score, ties by ascending node.
+		sort.Slice(ranked, func(i, j int) bool {
+			if ranked[i].Score != ranked[j].Score {
+				return ranked[i].Score > ranked[j].Score
+			}
+			return ranked[i].Node < ranked[j].Node
+		})
+	} else {
+		res, err := ev.Eval(rp.plan)
+		if err != nil {
+			return nil, err
+		}
+		n := uint64(ix.inv.NumNodes())
+		ix.rc.addExhaustive(wand.Stats{Candidates: n, Scored: n})
+		o.Recorder.addExhaustive(wand.Stats{Candidates: n, Scored: n})
+		ranked = score.Rank(res)
+		if live != nil {
+			kept := ranked[:0]
+			for _, r := range ranked {
+				if live(r.Node) {
+					kept = append(kept, r)
+				}
+			}
+			ranked = kept
+		}
 	}
 	if topK > 0 && topK < len(ranked) {
 		ranked = ranked[:topK]
@@ -692,7 +790,7 @@ func (ix *Index) RankedPath(q *Query) (string, error) {
 }
 
 // Explain reports which engine EngineAuto would pick and renders its query
-// plan.
+// plan; for the complete engine it also names the nodes evaluated.
 func (ix *Index) Explain(q *Query) (string, error) {
 	ast := ix.rewrite(q)
 	if err := lang.Validate(ast, ix.reg); err != nil {
@@ -716,11 +814,11 @@ func (ix *Index) Explain(q *Query) (string, error) {
 			return fmt.Sprintf("engine: NPRED (class %s)\n%s%s", class, orders, plan.Explain()), nil
 		}
 	}
-	tree, err := compeval.Explain(norm, ix.reg)
+	cp, err := planComp(norm, ix.reg)
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("engine: COMP (class %s)\n%s", class, tree), nil
+	return fmt.Sprintf("engine: COMP (class %s)\ncandidates: %s\n%s", class, cp.an.Source(), fta.Tree(cp.plan)), nil
 }
 
 func (ix *Index) matches(nodes []core.NodeID, scores map[core.NodeID]float64) []Match {

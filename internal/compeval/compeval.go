@@ -17,9 +17,6 @@ import (
 
 // Options tunes the engine.
 type Options struct {
-	// FullMaterialize materializes whole relations instead of evaluating
-	// node-at-a-time (ablation).
-	FullMaterialize bool
 	// Scorer ranks results (nil: Boolean evaluation).
 	Scorer fta.Scorer
 }
@@ -46,16 +43,6 @@ func EvalScored(q lang.Query, ix *invlist.Index, reg *pred.Registry, opts Option
 	if err != nil {
 		return nil, err
 	}
-	ev := &fta.Evaluator{Index: ix, Reg: reg, Scorer: opts.Scorer, FullMaterialize: opts.FullMaterialize}
+	ev := &fta.Evaluator{Index: ix, Reg: reg, Scorer: opts.Scorer}
 	return ev.Eval(plan)
-}
-
-// Explain renders the algebra plan of a query as a Figure 4 style operator
-// tree.
-func Explain(q lang.Query, reg *pred.Registry) (string, error) {
-	plan, err := Compile(q, reg)
-	if err != nil {
-		return "", err
-	}
-	return fta.Tree(plan), nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fulltext/internal/core"
+	"fulltext/internal/fta"
 	"fulltext/internal/ftc"
 	"fulltext/internal/invlist"
 	"fulltext/internal/lang"
@@ -48,10 +49,11 @@ func TestFigure4Plan(t *testing.T) {
 		t.Fatal(err)
 	}
 	q = lang.DesugarNegPreds(q, reg)
-	plan, err := Explain(q, reg)
+	e, err := Compile(q, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan := fta.Tree(e)
 	for _, want := range []string{
 		`scan ("usability")`, `scan ("software")`, "join",
 		"samepara", "not_samesent", "distance", "project (CNode)",
@@ -131,25 +133,5 @@ func TestCompileError(t *testing.T) {
 	reg := pred.Default()
 	if _, err := Compile(lang.Pred{Name: "zzz", Vars: []string{"a"}}, reg); err == nil {
 		t.Errorf("unknown predicate compiled")
-	}
-	if _, err := Explain(lang.Pred{Name: "zzz", Vars: []string{"a"}}, reg); err == nil {
-		t.Errorf("unknown predicate explained")
-	}
-}
-
-func TestFullMaterializeOption(t *testing.T) {
-	_, ix := corpusIx(t, "aa bb", "bb cc", "aa cc")
-	reg := pred.Default()
-	q, _ := lang.Parse(lang.DialectBOOL, `'aa' AND NOT 'bb'`)
-	a, err := Eval(q, ix, reg, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Eval(q, ix, reg, Options{FullMaterialize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !same(a, b) {
-		t.Fatalf("materialization modes disagree: %v vs %v", a, b)
 	}
 }

@@ -26,24 +26,19 @@ type Result struct {
 // Evaluator materializes full-text algebra expressions node-at-a-time
 // against an inverted-list index. Node-at-a-time evaluation bounds memory
 // by the per-node relation sizes (the paper's COMP engine enumerates the
-// per-node cartesian products); FullMaterialize switches to whole-relation
-// evaluation for the ablation benchmark.
+// per-node cartesian products).
 type Evaluator struct {
 	Index  *invlist.Index
 	Reg    *pred.Registry
 	Scorer Scorer
-
-	// FullMaterialize evaluates whole relations instead of node-at-a-time.
-	FullMaterialize bool
 
 	// TuplesBuilt counts materialized tuples, for the complexity
 	// instrumentation (Section 5.4's cost is driven by join output sizes).
 	TuplesBuilt int
 
 	// Scratch reused across operators and nodes (an Evaluator serves one
-	// goroutine): the scores of one projection group, and one tuple key.
+	// goroutine): the scores of one projection group.
 	parts []float64
-	key   []byte
 }
 
 // Eval runs a width-0 algebra query and returns the qualifying nodes.
@@ -55,24 +50,6 @@ func (ev *Evaluator) Eval(e Expr) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{Scores: make(map[core.NodeID]float64)}
-	if ev.FullMaterialize {
-		rel, err := ev.evalFull(e)
-		if err != nil {
-			return nil, err
-		}
-		nodes := make([]core.NodeID, 0, len(rel))
-		for n := range rel {
-			nodes = append(nodes, n)
-		}
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-		for _, n := range nodes {
-			if len(rel[n]) > 0 {
-				res.Nodes = append(res.Nodes, n)
-				res.Scores[n] = rel[n][0].Score
-			}
-		}
-		return res, nil
-	}
 	for n := 1; n <= ev.Index.NumNodes(); n++ {
 		node := core.NodeID(n)
 		tuples, err := ev.evalNode(e, node)
@@ -120,27 +97,6 @@ func (ev *Evaluator) EvalRelation(e Expr) (map[core.NodeID][]Tuple, error) {
 	if _, err := Width(e, ev.Reg); err != nil {
 		return nil, err
 	}
-	if ev.FullMaterialize {
-		return ev.evalFull(e)
-	}
-	out := make(map[core.NodeID][]Tuple)
-	for n := 1; n <= ev.Index.NumNodes(); n++ {
-		node := core.NodeID(n)
-		tuples, err := ev.evalNode(e, node)
-		if err != nil {
-			return nil, err
-		}
-		if len(tuples) > 0 {
-			out[node] = tuples
-		}
-	}
-	return out, nil
-}
-
-// evalFull evaluates e for all nodes at once (simple recursion over the
-// node-at-a-time evaluator, kept separate so the ablation measures the
-// memory/locality difference of one big pass).
-func (ev *Evaluator) evalFull(e Expr) (map[core.NodeID][]Tuple, error) {
 	out := make(map[core.NodeID][]Tuple)
 	for n := 1; n <= ev.Index.NumNodes(); n++ {
 		node := core.NodeID(n)
@@ -168,28 +124,14 @@ func (ev *Evaluator) evalNode(e Expr, node core.NodeID) ([]Tuple, error) {
 		if entry == nil {
 			return nil, nil
 		}
-		out := make([]Tuple, 0, len(entry.Pos))
-		for _, p := range entry.Pos {
-			out = append(out, Tuple{Pos: []core.Pos{p}, Score: ev.Scorer.LeafHasPos(node)})
-		}
-		ev.TuplesBuilt += len(out)
-		return out, nil
+		return ev.leaf(entry, ev.Scorer.LeafHasPos(node)), nil
 
 	case Token:
 		entry := ev.Index.List(x.Tok).Find(node)
 		if entry == nil {
 			return nil, nil
 		}
-		// Every tuple of the leaf starts from the same score, and its
-		// position column aliases the posting entry (capacity-capped, so no
-		// operator can append into the index's memory).
-		s := ev.Scorer.LeafToken(x.Tok, node)
-		out := make([]Tuple, len(entry.Pos))
-		for i := range entry.Pos {
-			out[i] = Tuple{Pos: entry.Pos[i : i+1 : i+1], Score: s}
-		}
-		ev.TuplesBuilt += len(out)
-		return out, nil
+		return ev.leaf(entry, ev.Scorer.LeafToken(x.Tok, node)), nil
 
 	case Project:
 		in, err := ev.evalNode(x.In, node)
@@ -208,34 +150,35 @@ func (ev *Evaluator) evalNode(e Expr, node core.NodeID) ([]Tuple, error) {
 			ev.TuplesBuilt++
 			return []Tuple{{Score: ev.Scorer.Project(ev.parts)}}, nil
 		}
-		type group struct {
-			pos   []core.Pos
-			parts []float64
-		}
-		idx := make(map[string]int, len(in))
-		groups := make([]group, 0, len(in))
-		cols := make([]core.Pos, len(in)*len(x.Cols))
-		for _, t := range in {
-			pos := cols[:len(x.Cols):len(x.Cols)]
-			for i, c := range x.Cols {
-				pos[i] = t.Pos[c]
+		// Project every tuple, then collapse runs of equal projections: a
+		// stable sort keeps each group's scores in input order, and the
+		// output sorted.
+		w := len(x.Cols)
+		cols := make([]core.Pos, len(in)*w)
+		proj := make([]Tuple, len(in))
+		for i, t := range in {
+			pos := cols[i*w : (i+1)*w : (i+1)*w]
+			for k, c := range x.Cols {
+				pos[k] = t.Pos[c]
 			}
-			ev.key = appendKey(ev.key[:0], pos)
-			g, seen := idx[string(ev.key)]
-			if !seen {
-				g = len(groups)
-				idx[string(ev.key)] = g
-				groups = append(groups, group{pos: pos})
-				cols = cols[len(x.Cols):]
-			}
-			groups[g].parts = append(groups[g].parts, t.Score)
+			proj[i] = Tuple{Pos: pos, Score: t.Score}
 		}
-		out := make([]Tuple, len(groups))
-		for i, g := range groups {
-			out[i] = Tuple{Pos: g.pos, Score: ev.Scorer.Project(g.parts)}
+		less := func(i, j int) bool { return comparePos(proj[i].Pos, proj[j].Pos) < 0 }
+		if !sort.SliceIsSorted(proj, less) {
+			sort.SliceStable(proj, less)
+		}
+		var out []Tuple
+		for i := 0; i < len(proj); {
+			ev.parts = ev.parts[:0]
+			j := i
+			for ; j < len(proj) && comparePos(proj[i].Pos, proj[j].Pos) == 0; j++ {
+				ev.parts = append(ev.parts, proj[j].Score)
+			}
+			out = append(out, Tuple{Pos: proj[i].Pos, Score: ev.Scorer.Project(ev.parts)})
+			i = j
 		}
 		ev.TuplesBuilt += len(out)
-		return sortTuples(out), nil
+		return out, nil
 
 	case Join:
 		l, err := ev.evalNode(x.L, node)
@@ -298,51 +241,32 @@ func (ev *Evaluator) evalNode(e Expr, node core.NodeID) ([]Tuple, error) {
 		if len(l)+len(r) == 0 {
 			return nil, nil
 		}
-		// A later duplicate of a key overwrites the side's score, so of a
-		// width-0 side only the last tuple counts.
-		if width0(l, r) {
-			var sL, sR float64
-			hL, hR := len(l) > 0, len(r) > 0
-			if hL {
-				sL = l[len(l)-1].Score
+		// Both inputs are sorted and duplicate-free, so one merge pass
+		// pairs equal tuples and keeps the output sorted.
+		out := make([]Tuple, 0, len(l)+len(r))
+		for i, j := 0, 0; i < len(l) || j < len(r); {
+			c := 1
+			switch {
+			case i == len(l):
+			case j == len(r):
+				c = -1
+			default:
+				c = comparePos(l[i].Pos, r[j].Pos)
 			}
-			if hR {
-				sR = r[len(r)-1].Score
+			switch {
+			case c < 0:
+				out = append(out, Tuple{Pos: l[i].Pos, Score: ev.Scorer.Union(l[i].Score, 0, true, false)})
+				i++
+			case c > 0:
+				out = append(out, Tuple{Pos: r[j].Pos, Score: ev.Scorer.Union(0, r[j].Score, false, true)})
+				j++
+			default:
+				out = append(out, Tuple{Pos: l[i].Pos, Score: ev.Scorer.Union(l[i].Score, r[j].Score, true, true)})
+				i, j = i+1, j+1
 			}
-			ev.TuplesBuilt++
-			return []Tuple{{Score: ev.Scorer.Union(sL, sR, hL, hR)}}, nil
-		}
-		type entry struct {
-			pos    []core.Pos
-			sL, sR float64
-			hL, hR bool
-		}
-		idx := make(map[string]int, len(l)+len(r))
-		es := make([]entry, 0, len(l)+len(r))
-		find := func(t Tuple) *entry {
-			ev.key = appendKey(ev.key[:0], t.Pos)
-			i, seen := idx[string(ev.key)]
-			if !seen {
-				i = len(es)
-				idx[string(ev.key)] = i
-				es = append(es, entry{pos: t.Pos})
-			}
-			return &es[i]
-		}
-		for _, t := range l {
-			e := find(t)
-			e.sL, e.hL = t.Score, true
-		}
-		for _, t := range r {
-			e := find(t)
-			e.sR, e.hR = t.Score, true
-		}
-		out := make([]Tuple, len(es))
-		for i, e := range es {
-			out[i] = Tuple{Pos: e.pos, Score: ev.Scorer.Union(e.sL, e.sR, e.hL, e.hR)}
 		}
 		ev.TuplesBuilt += len(out)
-		return sortTuples(out), nil
+		return out, nil
 
 	case Intersect:
 		l, err := ev.evalNode(x.L, node)
@@ -356,28 +280,16 @@ func (ev *Evaluator) evalNode(e Expr, node core.NodeID) ([]Tuple, error) {
 		if err != nil {
 			return nil, err
 		}
-		if len(r) == 0 {
-			return nil, nil
-		}
-		if width0(l, r) {
-			ev.TuplesBuilt++
-			return []Tuple{{Score: ev.Scorer.Intersect(l[0].Score, r[len(r)-1].Score)}}, nil
-		}
-		rs := make(map[string]float64, len(r))
-		for _, t := range r {
-			ev.key = appendKey(ev.key[:0], t.Pos)
-			rs[string(ev.key)] = t.Score
-		}
 		var out []Tuple
-		seen := make(map[string]bool, len(l))
-		for _, t := range l {
-			ev.key = appendKey(ev.key[:0], t.Pos)
-			if seen[string(ev.key)] {
-				continue
-			}
-			seen[string(ev.key)] = true
-			if s, ok := rs[string(ev.key)]; ok {
-				out = append(out, Tuple{Pos: t.Pos, Score: ev.Scorer.Intersect(t.Score, s)})
+		for i, j := 0, 0; i < len(l) && j < len(r); {
+			switch c := comparePos(l[i].Pos, r[j].Pos); {
+			case c < 0:
+				i++
+			case c > 0:
+				j++
+			default:
+				out = append(out, Tuple{Pos: l[i].Pos, Score: ev.Scorer.Intersect(l[i].Score, r[j].Score)})
+				i, j = i+1, j+1
 			}
 		}
 		ev.TuplesBuilt += len(out)
@@ -395,26 +307,16 @@ func (ev *Evaluator) evalNode(e Expr, node core.NodeID) ([]Tuple, error) {
 		if err != nil {
 			return nil, err
 		}
-		if width0(l, r) {
-			if len(r) > 0 {
-				return nil, nil
-			}
-			ev.TuplesBuilt++
-			return []Tuple{{Score: ev.Scorer.Diff(l[0].Score)}}, nil
-		}
-		rk := make(map[string]bool, len(r))
-		for _, t := range r {
-			ev.key = appendKey(ev.key[:0], t.Pos)
-			rk[string(ev.key)] = true
-		}
-		var out []Tuple
-		seen := make(map[string]bool, len(l))
+		// With nothing to subtract every left tuple passes, rescored.
+		out := make([]Tuple, 0, len(l))
+		j := 0
 		for _, t := range l {
-			ev.key = appendKey(ev.key[:0], t.Pos)
-			if seen[string(ev.key)] || rk[string(ev.key)] {
+			for j < len(r) && comparePos(r[j].Pos, t.Pos) < 0 {
+				j++
+			}
+			if j < len(r) && comparePos(r[j].Pos, t.Pos) == 0 {
 				continue
 			}
-			seen[string(ev.key)] = true
 			out = append(out, Tuple{Pos: t.Pos, Score: ev.Scorer.Diff(t.Score)})
 		}
 		ev.TuplesBuilt += len(out)
@@ -425,37 +327,33 @@ func (ev *Evaluator) evalNode(e Expr, node core.NodeID) ([]Tuple, error) {
 	}
 }
 
-// appendKey appends a tuple's set-semantics identity to b: four bytes per
-// position ordinal, so two keys are equal exactly when the ordinals are.
-func appendKey(b []byte, pos []core.Pos) []byte {
-	for _, p := range pos {
-		o := uint32(p.Ord)
-		b = append(b, byte(o), byte(o>>8), byte(o>>16), byte(o>>24))
+// leaf is the relation of one posting entry: a tuple per position, each
+// starting from the leaf's one score s, its position column aliasing the
+// entry (capacity-capped, so no operator can append into the index's
+// memory).
+func (ev *Evaluator) leaf(entry *invlist.Entry, s float64) []Tuple {
+	out := make([]Tuple, len(entry.Pos))
+	for i := range entry.Pos {
+		out[i] = Tuple{Pos: entry.Pos[i : i+1 : i+1], Score: s}
 	}
-	return b
+	ev.TuplesBuilt += len(out)
+	return out
 }
 
-// width0 reports whether two relations of equal width, not both empty, have
-// no position columns: all their tuples then share the one empty key.
-func width0(l, r []Tuple) bool {
-	if len(l) > 0 {
-		return len(l[0].Pos) == 0
-	}
-	return len(r[0].Pos) == 0
-}
-
-func sortTuples(ts []Tuple) []Tuple {
-	if len(ts) < 2 {
-		return ts
-	}
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := ts[i].Pos, ts[j].Pos
-		for k := range a {
-			if a[k].Ord != b[k].Ord {
-				return a[k].Ord < b[k].Ord
+// comparePos orders position tuples of equal width by their ordinals,
+// lexicographically. Every relation evalNode returns is sorted in this
+// order and holds no two equal tuples (TestRelationsAreSortedAndDuplicateFree):
+// leaves list a node's positions in order, Join pairs sorted inputs in
+// order, Select, Intersect and Diff keep a sorted subsequence, Union merges
+// its sorted inputs, and Project sorts what it builds.
+func comparePos(a, b []core.Pos) int {
+	for k := range a {
+		if a[k].Ord != b[k].Ord {
+			if a[k].Ord < b[k].Ord {
+				return -1
 			}
+			return 1
 		}
-		return false
-	})
-	return ts
+	}
+	return 0
 }

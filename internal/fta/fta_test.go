@@ -424,33 +424,29 @@ func TestCompileFigure4Shape(t *testing.T) {
 	}
 }
 
-func TestFullMaterializeMatchesNodeAtATime(t *testing.T) {
+// TestRelationsAreSortedAndDuplicateFree pins what Union, Intersect and
+// Diff merge on: every operator, fed relations sorted by comparePos without
+// two equal tuples, returns one, so every relation is strictly increasing.
+func TestRelationsAreSortedAndDuplicateFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	vocab := []string{"aa", "bb", "cc"}
 	reg := pred.Default()
-	for trial := 0; trial < 40; trial++ {
-		e := randomFTA(rng, vocab, 2)
-		w, err := Width(e, reg)
-		if err != nil {
+	for trial := 0; trial < 150; trial++ {
+		e := randomFTA(rng, vocab, 3)
+		if _, err := Width(e, reg); err != nil {
 			continue
 		}
-		if w != 0 {
-			e = Project{e, nil}
-		}
-		c := randomCorpus(rng, vocab, 4, 5)
-		ix := invlist.Build(c)
-		a := &Evaluator{Index: ix, Reg: reg}
-		b := &Evaluator{Index: ix, Reg: reg, FullMaterialize: true}
-		ra, err := a.Eval(e)
+		ev := &Evaluator{Index: invlist.Build(randomCorpus(rng, vocab, 4, 6)), Reg: reg}
+		rel, err := ev.EvalRelation(e)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := b.Eval(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameIDs(ra.Nodes, rb.Nodes...) {
-			t.Fatalf("materialization modes disagree on %s: %v vs %v", e, ra.Nodes, rb.Nodes)
+		for n, tuples := range rel {
+			for i := 1; i < len(tuples); i++ {
+				if comparePos(tuples[i-1].Pos, tuples[i].Pos) >= 0 {
+					t.Fatalf("%s on node %d: tuples %v then %v", e, n, tuples[i-1].Pos, tuples[i].Pos)
+				}
+			}
 		}
 	}
 }

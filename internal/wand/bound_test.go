@@ -216,9 +216,9 @@ func TestAdmittedQueriesAreBounded(t *testing.T) {
 		if err := lang.Validate(norm, reg); err != nil {
 			t.Fatalf("%s: %v", norm, err)
 		}
-		a, why := Analyze(norm)
-		if a == nil {
-			declined[why]++
+		a := Analyze(norm)
+		if a.Decline != "" {
+			declined[a.Decline]++
 			continue
 		}
 		admitted++
@@ -245,8 +245,8 @@ func TestAdmittedCalculusQueriesAreBounded(t *testing.T) {
 	admitted := 0
 	for trial := 0; trial < 1500; trial++ {
 		norm := lang.Normalize(lang.FromFTC(gen.Closed()), reg)
-		a, _ := Analyze(norm)
-		if a == nil {
+		a := Analyze(norm)
+		if a.Decline != "" {
 			continue
 		}
 		admitted++
@@ -273,8 +273,8 @@ func TestDeclinedShapesBreakTheBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	norm := lang.Normalize(q, reg)
-	if a, why := Analyze(norm); a != nil || why != DeclineHasAny {
-		t.Fatalf("declined with %q (analysis nil: %v), want %q", why, a == nil, DeclineHasAny)
+	if why := Analyze(norm).Decline; why != DeclineHasAny {
+		t.Fatalf("declined with %q, want %q", why, DeclineHasAny)
 	}
 	plan, err := fta.Compile(lang.ToFTC(norm), reg)
 	if err != nil {

@@ -31,9 +31,14 @@
 // token (NOT only ever restricts such a branch, as in 'a' AND NOT 'b').
 // Purely negative tokens get complement cursors: zero-upper-bound cursors
 // kept out of the pivot driver that are only seek-aligned to settle token
-// presence for the Boolean structure check. Queries outside the eligible
-// fragment are rejected by Analyze, with a reason, and fall back to the
-// full scan.
+// presence for the Boolean structure check. Analyze declines queries
+// outside the eligible fragment, with a reason.
+//
+// The same drivers, with pruning off, are the candidate generator of every
+// other node loop (Collect): the complete engine's unranked evaluation, and
+// ranked evaluation of declined or unbounded-K queries. They need only the
+// first of Analyze's answers, that the query is grounded; an ungrounded
+// query falls back to the full scan.
 //
 // # Why the per-leaf bound sum dominates the evaluated score
 //
@@ -129,7 +134,10 @@ type BlockScorer interface {
 // negligible amount of pruning and keeps the skip decisions sound.
 const boundSlack = 1 + 1e-9
 
-// Analysis is the token-level structure of an eligible query.
+// Analysis is the token-level structure of a query. It carries two
+// answers, computed by one scan: whether posting lists can enumerate the
+// query's candidates (Grounded), and whether the WAND score bound holds
+// for it (Decline empty).
 type Analysis struct {
 	root lang.Query
 	// Tokens lists the distinct positively occurring query tokens — search
@@ -145,19 +153,27 @@ type Analysis struct {
 	// they do not count.
 	Count map[string]int
 	// Required holds the tokens every matching document must contain
-	// (intersected across OR branches, unioned across AND; NOT branches and
-	// predicates require nothing).
+	// (intersected across OR branches, unioned across AND; NOT branches,
+	// quantifiers over all positions and predicates require nothing).
 	Required map[string]bool
 	// NegTokens lists the distinct tokens whose literals occur only under
 	// NOT, in first-occurrence order. They carry no score upper bound; the
 	// evaluator aligns complement cursors over them solely to settle
 	// presence for Matches.
 	NegTokens []string
+	// Grounded reports that every matching document contains one of
+	// Tokens, so the posting lists of Tokens name a superset of the
+	// matches: the candidates. An ungrounded query must visit every node.
+	Grounded bool
+	// Decline is why the WAND score bound does not hold for the query, ""
+	// when it does. A declined query that is grounded still takes its
+	// candidates from the posting lists; it just cannot prune by score.
+	Decline string
 
 	negSet map[string]bool
 }
 
-// Reasons Analyze gives for declining a query.
+// Reasons Analyze gives for declining a query the score bound.
 const (
 	DeclineEvery       = "every"        // EVERY quantifier
 	DeclineAny         = "any"          // the universal token ANY
@@ -168,40 +184,62 @@ const (
 	DeclineFreeNot     = "free-not"     // a NOT no grounded conjunct restricts
 )
 
-// Analyze inspects a normalized query and returns its token analysis when
-// the fast path can serve it, or nil and a short reason when it cannot.
+// Analyze inspects a normalized query of any shape and returns its token
+// analysis with both answers.
 //
-// The eligible fragment is the positively grounded existential one: search
-// tokens and HAS atoms under AND, OR, NOT and SOME, with position
+// Grounding: a literal or a positive HAS atom is grounded; an AND is
+// grounded if either branch is; an OR only if both are; SOME is
+// transparent. A NOT never is (it matches token-free documents), and
+// neither are EVERY, ANY, HAS ANY or a predicate: they require and ground
+// nothing. A grounded query's matches all contain a token of Tokens, which
+// is what lets cursors over the positive lists enumerate its candidates.
+//
+// The WAND-eligible fragment is the positively grounded existential one:
+// search tokens and HAS atoms under AND, OR, NOT and SOME, with position
 // predicates as filters — a predicate requires nothing, grounds nothing and
-// adds no score. Two requirements bound the fragment.
-//
-// Grounding: every matching document contains at least one positively
-// occurring token, which is what lets cursors over the positive lists
-// enumerate all candidates. A literal or a positive HAS atom is grounded;
-// an AND is grounded if either branch is; an OR only if both are; SOME is
-// transparent; a NOT never is (it matches token-free documents). A query
-// whose root is not grounded declines with DeclineFreeNot.
-//
-// Bound safety (package comment): outside every NOT the compiled plan must
-// not pair scored tuples with IL_ANY positions. fta.Compile introduces
-// IL_ANY for HAS ANY, for a predicate that is not a conjunct of a relation
-// binding all its variables, for OR branches over different variables, for
-// conjuncts that share only some of their variables, and for a NOT over
-// position variables unless a grounded conjunct binding those variables
-// intersects it. EVERY and ANY decline wherever they stand; otherwise
-// nothing inside a NOT is scored and any shape is allowed there.
-func Analyze(q lang.Query) (*Analysis, string) {
+// adds no score. An ungrounded query declines with DeclineFreeNot. Bound
+// safety (package comment) adds that outside every NOT the compiled plan
+// must not pair scored tuples with IL_ANY positions. fta.Compile
+// introduces IL_ANY for HAS ANY, for a predicate that is not a conjunct of
+// a relation binding all its variables, for OR branches over different
+// variables, for conjuncts that share only some of their variables, and for
+// a NOT over position variables unless a grounded conjunct binding those
+// variables intersects it. EVERY and ANY decline wherever they stand;
+// otherwise nothing inside a NOT is scored and any shape is allowed there.
+func Analyze(q lang.Query) *Analysis {
 	a := &Analysis{root: q, Count: make(map[string]int), negSet: make(map[string]bool)}
-	p, why := a.scan(q, true, true)
-	if why != "" {
-		return nil, why
-	}
+	p := a.scan(q, true, true)
+	a.Required, a.Grounded = p.req, p.grounded
 	if !p.grounded {
-		return nil, DeclineFreeNot
+		a.decline(DeclineFreeNot)
 	}
-	a.Required = p.req
-	return a, ""
+	return a
+}
+
+// Source names the nodes a grounded query is evaluated on: the
+// intersection of the required tokens' posting lists when it has any, the
+// union of every positive token's list otherwise.
+func (a *Analysis) Source() string {
+	if !a.Grounded {
+		return "scan (ungrounded)"
+	}
+	var toks []string
+	for _, t := range a.Tokens {
+		if len(a.Required) == 0 || a.Required[t] {
+			toks = append(toks, t)
+		}
+	}
+	if len(a.Required) > 0 {
+		return "∩" + fmt.Sprint(toks)
+	}
+	return "∪" + fmt.Sprint(toks)
+}
+
+// decline records the first reason the score bound fails.
+func (a *Analysis) decline(why string) {
+	if a.Decline == "" {
+		a.Decline = why
+	}
 }
 
 // part is what scan learns about one subquery.
@@ -215,9 +253,9 @@ type part struct {
 // and returns the subquery's required set and groundedness. scored is true
 // outside every NOT, where the bound-safety rules apply; they are stated
 // over the subqueries' free position variables, which are the columns of
-// the relations fta.Compile builds for them. A non-empty reason declines
-// the whole query.
-func (a *Analysis) scan(q lang.Query, pos, scored bool) (part, string) {
+// the relations fta.Compile builds for them. A broken rule is recorded
+// with decline and the walk goes on.
+func (a *Analysis) scan(q lang.Query, pos, scored bool) part {
 	switch x := q.(type) {
 	case lang.Lit:
 		if !pos {
@@ -227,31 +265,29 @@ func (a *Analysis) scan(q lang.Query, pos, scored bool) (part, string) {
 					a.NegTokens = append(a.NegTokens, x.Tok)
 				}
 			}
-			return part{req: map[string]bool{}}, ""
+			return part{req: map[string]bool{}}
 		}
 		a.countPositive(x.Tok)
-		return part{req: map[string]bool{x.Tok: true}, grounded: true}, ""
+		return part{req: map[string]bool{x.Tok: true}, grounded: true}
 	case lang.Has:
 		if !pos {
 			// Matches never asks for the presence of a negated HAS token
 			// (see admits), so it needs no cursor of either kind.
-			return part{req: map[string]bool{}}, ""
+			return part{req: map[string]bool{}}
 		}
 		a.countPositive(x.Tok)
-		return part{req: map[string]bool{x.Tok: true}, grounded: true}, ""
+		return part{req: map[string]bool{x.Tok: true}, grounded: true}
 	case lang.HasAny:
 		if scored {
-			return part{}, DeclineHasAny
+			a.decline(DeclineHasAny)
 		}
-		return part{req: map[string]bool{}}, ""
 	case lang.Pred:
 		// A predicate that reaches scan is not the conjunct of a relation
 		// binding its variables (And handles those): it compiles to a
 		// selection over a product of IL_ANY.
 		if scored {
-			return part{}, DeclineUnboundPred
+			a.decline(DeclineUnboundPred)
 		}
-		return part{req: map[string]bool{}}, ""
 	case lang.And:
 		// fta.Compile turns a predicate conjunct over columns the other
 		// conjunct already carries into a selection on it: a filter.
@@ -261,47 +297,35 @@ func (a *Analysis) scan(q lang.Query, pos, scored bool) (part, string) {
 		if p, ok := x.L.(lang.Pred); ok {
 			return a.scanFiltered(x.R, p, pos, scored)
 		}
-		l, why := a.scan(x.L, pos, scored)
-		if why != "" {
-			return part{}, why
-		}
-		r, why := a.scan(x.R, pos, scored)
-		if why != "" {
-			return part{}, why
-		}
+		l := a.scan(x.L, pos, scored)
+		r := a.scan(x.R, pos, scored)
 		if scored {
 			lf, rf := lang.FreeVars(x.L), lang.FreeVars(x.R)
 			switch {
 			case disjoint(lf, rf):
 				// A join: each operand must be grounded or of width 0.
 				if (!l.grounded && len(lf) > 0) || (!r.grounded && len(rf) > 0) {
-					return part{}, DeclineFreeNot
+					a.decline(DeclineFreeNot)
 				}
 			case subset(rf, lf) && l.grounded, subset(lf, rf) && r.grounded:
 				// An intersection that pads only the side it is bounded
 				// without.
 			case subset(rf, lf) || subset(lf, rf):
-				return part{}, DeclineFreeNot
+				a.decline(DeclineFreeNot)
 			default:
-				return part{}, DeclinePaddedAnd
+				a.decline(DeclinePaddedAnd)
 			}
 		}
 		for t := range r.req {
 			l.req[t] = true
 		}
-		return part{req: l.req, grounded: l.grounded || r.grounded}, ""
+		return part{req: l.req, grounded: l.grounded || r.grounded}
 	case lang.Or:
-		l, why := a.scan(x.L, pos, scored)
-		if why != "" {
-			return part{}, why
-		}
-		r, why := a.scan(x.R, pos, scored)
-		if why != "" {
-			return part{}, why
-		}
+		l := a.scan(x.L, pos, scored)
+		r := a.scan(x.R, pos, scored)
 		if scored {
 			if lf, rf := lang.FreeVars(x.L), lang.FreeVars(x.R); !subset(lf, rf) || !subset(rf, lf) {
-				return part{}, DeclineOpenOr
+				a.decline(DeclineOpenOr)
 			}
 		}
 		both := make(map[string]bool)
@@ -310,26 +334,26 @@ func (a *Analysis) scan(q lang.Query, pos, scored bool) (part, string) {
 				both[t] = true
 			}
 		}
-		return part{req: both, grounded: l.grounded && r.grounded}, ""
+		return part{req: both, grounded: l.grounded && r.grounded}
 	case lang.Not:
-		if _, why := a.scan(x.Q, !pos, false); why != "" {
-			return part{}, why
-		}
-		return part{req: map[string]bool{}}, ""
+		a.scan(x.Q, !pos, false)
 	case lang.Some:
 		return a.scan(x.Q, pos, scored)
 	case lang.Every:
-		return part{}, DeclineEvery
+		// Matches settles nothing inside EVERY (see admits), so its tokens
+		// need no cursors.
+		a.decline(DeclineEvery)
 	default: // lang.Any
-		return part{}, DeclineAny
+		a.decline(DeclineAny)
 	}
+	return part{req: map[string]bool{}}
 }
 
 // scanFiltered scans a conjunction of q with the predicate p: a filter on
 // q's relation when q binds every variable of p.
-func (a *Analysis) scanFiltered(q lang.Query, p lang.Pred, pos, scored bool) (part, string) {
+func (a *Analysis) scanFiltered(q lang.Query, p lang.Pred, pos, scored bool) part {
 	if scored && !subset(p.Vars, lang.FreeVars(q)) {
-		return part{}, DeclineUnboundPred
+		a.decline(DeclineUnboundPred)
 	}
 	return a.scan(q, pos, scored)
 }
@@ -533,7 +557,7 @@ type evaluator struct {
 	ev     *fta.Evaluator
 	plan   fta.Expr
 	a      *Analysis
-	k      int
+	k      int // 0 collects every match: no pruning, h is a plain list
 	shared *Shared
 	st     *Stats
 	live   Live
@@ -557,11 +581,30 @@ func Eval(ev *fta.Evaluator, plan fta.Expr, a *Analysis, sc Scorer, k int, share
 	if k <= 0 {
 		return nil, fmt.Errorf("wand: top-K must be positive, got %d", k)
 	}
-	if st == nil {
-		st = &Stats{}
+	out, err := run(&evaluator{ev: ev, plan: plan, a: a, k: k, shared: shared, st: st, live: live}, sc)
+	sort.Slice(out, func(i, j int) bool { return rankedLess(out[i], out[j]) })
+	return out, err
+}
+
+// Collect evaluates plan on every candidate of a Grounded analysis, with
+// pruning off: the same cursor drivers enumerate the nodes a.Source names,
+// Matches filters them, live drops tombstoned ones, and EvalNode decides
+// and scores the rest. It returns every match, in ascending node order —
+// exactly the matches of the full 1..N scan, because a grounded query
+// matches no node outside its candidates. Scores are whatever ev's Scorer
+// gives; plan must have passed fta.ValidateQuery.
+func Collect(ev *fta.Evaluator, plan fta.Expr, a *Analysis, st *Stats, live Live) ([]score.Ranked, error) {
+	return run(&evaluator{ev: ev, plan: plan, a: a, st: st, live: live}, nil)
+}
+
+// run opens a cursor per query token and drives the candidates through e;
+// sc, nil when e collects, supplies the upper bounds.
+func run(e *evaluator, sc Scorer) ([]score.Ranked, error) {
+	a, ev := e.a, e.ev
+	if e.st == nil {
+		e.st = &Stats{}
 	}
-	e := &evaluator{ev: ev, plan: plan, a: a, k: k, shared: shared, st: st, live: live,
-		byTok: make(map[string]*cursor, len(a.Tokens)+len(a.NegTokens))}
+	e.byTok = make(map[string]*cursor, len(a.Tokens)+len(a.NegTokens))
 	bs, _ := sc.(BlockScorer)
 	for _, tok := range a.Tokens {
 		cc := ev.Index.List(tok).Cursor()
@@ -572,12 +615,9 @@ func Eval(ev *fta.Evaluator, plan fta.Expr, a *Analysis, sc Scorer, k int, share
 			}
 			continue
 		}
-		cur := &cursor{
-			tok:      tok,
-			ub:       float64(a.Count[tok]) * sc.UpperBound(tok),
-			c:        cc,
-			node:     node,
-			required: a.Required[tok],
+		cur := &cursor{tok: tok, c: cc, node: node, required: a.Required[tok]}
+		if sc != nil {
+			cur.ub = float64(a.Count[tok]) * sc.UpperBound(tok)
 		}
 		if bs != nil {
 			if bb := bs.BlockBounds(tok); len(bb.Metas) > 0 && bb.Size > 0 {
@@ -620,14 +660,12 @@ func Eval(ev *fta.Evaluator, plan fta.Expr, a *Analysis, sc Scorer, k int, share
 		return nil, err
 	}
 	for _, c := range e.curs {
-		st.BlocksSkipped += uint64(c.c.BlockSkips)
+		e.st.BlocksSkipped += uint64(c.c.BlockSkips)
 	}
 	for _, c := range e.negs {
-		st.BlocksSkipped += uint64(c.c.BlockSkips)
+		e.st.BlocksSkipped += uint64(c.c.BlockSkips)
 	}
-	out := []score.Ranked(e.h)
-	sort.Slice(out, func(i, j int) bool { return rankedLess(out[i], out[j]) })
-	return out, nil
+	return []score.Ranked(e.h), nil
 }
 
 // prunable reports whether a document whose score is bounded by ub cannot
@@ -637,6 +675,9 @@ func Eval(ev *fta.Evaluator, plan fta.Expr, a *Analysis, sc Scorer, k int, share
 // comparison must stay strict because global ties break on document
 // ordinal, which interleaves across shards.
 func (e *evaluator) prunable(ub float64) bool {
+	if e.k == 0 {
+		return false
+	}
 	ubEff := ub * boundSlack
 	if len(e.h) >= e.k && ubEff <= e.h[0].Score {
 		return true
@@ -651,6 +692,10 @@ func (e *evaluator) prunable(ub float64) bool {
 // the new K-th-best threshold.
 func (e *evaluator) offer(node core.NodeID, s float64) {
 	d := score.Ranked{Node: node, Score: s}
+	if e.k == 0 {
+		e.h = append(e.h, d)
+		return
+	}
 	if len(e.h) < e.k {
 		heap.Push(&e.h, d)
 	} else if rankedLess(d, e.h[0]) {

@@ -83,11 +83,11 @@ func TestAnalyzeEligibility(t *testing.T) {
 		{`dist('a','b',2) OR NOT 'c'`, DeclineFreeNot, nil, nil},
 	}
 	for _, c := range cases {
-		a, why := Analyze(mustParse(t, c.src))
-		if why != c.why || (a == nil) != (why != "") {
-			t.Fatalf("%s: declined with %q (analysis nil: %v), want %q", c.src, why, a == nil, c.why)
+		a := Analyze(mustParse(t, c.src))
+		if a.Decline != c.why {
+			t.Fatalf("%s: declined with %q, want %q", c.src, a.Decline, c.why)
 		}
-		if a == nil {
+		if a.Decline != "" {
 			continue
 		}
 		if !reflect.DeepEqual(a.Tokens, c.tokens) {
@@ -107,9 +107,9 @@ func TestAnalyzeEligibility(t *testing.T) {
 }
 
 func TestAnalyzeMultiplicity(t *testing.T) {
-	a, why := Analyze(mustParse(t, `('a' AND 'a') OR dist('a','b',2)`))
-	if a == nil {
-		t.Fatalf("query should be eligible, declined with %q", why)
+	a := Analyze(mustParse(t, `('a' AND 'a') OR dist('a','b',2)`))
+	if a.Decline != "" {
+		t.Fatalf("query should be eligible, declined with %q", a.Decline)
 	}
 	if a.Count["a"] != 3 || a.Count["b"] != 1 {
 		t.Fatalf("counts %v, want a:3 b:1", a.Count)
@@ -117,9 +117,9 @@ func TestAnalyzeMultiplicity(t *testing.T) {
 }
 
 func TestAnalysisMatches(t *testing.T) {
-	a, why := Analyze(mustParse(t, `('a' OR 'b') AND 'c'`))
-	if a == nil {
-		t.Fatalf("query should be eligible, declined with %q", why)
+	a := Analyze(mustParse(t, `('a' OR 'b') AND 'c'`))
+	if a.Decline != "" {
+		t.Fatalf("query should be eligible, declined with %q", a.Decline)
 	}
 	has := func(toks ...string) func(string) bool {
 		set := map[string]bool{}
@@ -169,9 +169,9 @@ func TestMatchesNeverSettlesWhatPresenceCannot(t *testing.T) {
 		{`'c' AND NOT ('d' AND NOT dist('a','b',1))`, []string{"c"}, true},
 	}
 	for _, c := range cases {
-		a, why := Analyze(mustParse(t, c.src))
-		if a == nil {
-			t.Fatalf("%s: declined with %q", c.src, why)
+		a := Analyze(mustParse(t, c.src))
+		if a.Decline != "" {
+			t.Fatalf("%s: declined with %q", c.src, a.Decline)
 		}
 		if got := a.Matches(has(c.present...)); got != c.want {
 			t.Fatalf("%s with %v present: Matches = %v, want %v", c.src, c.present, got, c.want)

@@ -535,7 +535,8 @@ func (s *ShardedIndex) SearchWithTrace(q *Query, e Engine, tr *telemetry.Span) (
 		return docsToMatches(docs, false), nil
 	}
 	// Rewrite/validate/normalize once; segments share the analyzer and the
-	// registry, so the normalized AST is shard-independent.
+	// registry, so the normalized AST — and the COMP plan built from it on
+	// first use — is shard-independent.
 	var t0 time.Time
 	if timed {
 		t0 = time.Now()
@@ -544,7 +545,7 @@ func (s *ShardedIndex) SearchWithTrace(q *Query, e Engine, tr *telemetry.Span) (
 	if err := lang.Validate(ast, s.reg); err != nil {
 		return nil, err
 	}
-	norm := lang.Normalize(ast, s.reg)
+	u := planUnranked(lang.Normalize(ast, s.reg), s.reg)
 	if timed {
 		d := time.Since(t0)
 		if tel != nil {
@@ -557,9 +558,12 @@ func (s *ShardedIndex) SearchWithTrace(q *Query, e Engine, tr *telemetry.Span) (
 		sp, st := s.startShardSpan(tel, tr, i)
 		segLists := make([][]shard.Doc, 0, len(s.shards[i]))
 		for _, sg := range s.shards[i] {
-			nodes, _, err := sg.ix.dispatch(norm, e)
+			nodes, src, err := sg.ix.dispatch(u, e, sg.meta.LiveFilter())
 			if err != nil {
 				return err
+			}
+			if sp != nil && src != "" {
+				sp.Annotate("nodes", src)
 			}
 			segLists = append(segLists, sg.boolDocs(nodes))
 		}

@@ -294,9 +294,10 @@ func TestWandFastPathEngages(t *testing.T) {
 
 	for src, want := range map[string]string{
 		`NOT 'alpha'`:                          "exhaustive (free-not)",
-		`'alpha' AND EVERY p (NOT p HAS 'x')`:  "exhaustive (every)",
-		`dist('alpha',ANY,2)`:                  "exhaustive (unbound-pred)",
-		`SOME p (p HAS ANY AND p HAS 'alpha')`: "exhaustive (has-any)",
+		`EVERY p (p HAS 'alpha')`:              "exhaustive (every)",
+		`'alpha' AND EVERY p (NOT p HAS 'x')`:  "exhaustive (every, candidates)",
+		`dist('alpha',ANY,2)`:                  "exhaustive (unbound-pred, candidates)",
+		`SOME p (p HAS ANY AND p HAS 'alpha')`: "exhaustive (has-any, candidates)",
 	} {
 		if path, err := single.RankedPath(MustParse(COMP, src)); err != nil || path != want {
 			t.Fatalf("%s: RankedPath = %q, %v, want %q", src, path, err, want)
