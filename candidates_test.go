@@ -205,13 +205,16 @@ func candidateQuery(rng *rand.Rand, gen *ftc.Gen, vocab []string) lang.Query {
 	}
 }
 
+// searcher is what Index and ShardedIndex share for unranked search.
+type searcher interface {
+	Search(*Query) ([]Match, error)
+	SearchWith(*Query, Engine) ([]Match, error)
+}
+
 // candidateLayouts indexes docs three ways — one index, three shards, and
 // two shards of base plus delta segments with tombstones — and returns
 // each with the documents it holds live.
-func candidateLayouts(t *testing.T, docs [][2]string) (names []string, ixs []interface {
-	Search(*Query) ([]Match, error)
-	SearchWith(*Query, Engine) ([]Match, error)
-}, live [][][2]string) {
+func candidateLayouts(t *testing.T, docs [][2]string) (names []string, ixs []searcher, live [][][2]string) {
 	t.Helper()
 	b := NewBuilder()
 	sb := NewShardedBuilder(3)
@@ -249,15 +252,11 @@ func candidateLayouts(t *testing.T, docs [][2]string) (names []string, ixs []int
 	}
 	seg.WaitMerges()
 	requireLayout(t, seg)
-	for _, six := range []*ShardedIndex{sb.Build(), seg} {
-		six.SetQueryCacheSize(0)
-		ixs = append(ixs, six)
-	}
+	three := sb.Build()
+	three.SetQueryCacheSize(0)
+	seg.SetQueryCacheSize(0)
 	return []string{"single", "sharded-3", "base+delta+tombstones"},
-		append([]interface {
-			Search(*Query) ([]Match, error)
-			SearchWith(*Query, Engine) ([]Match, error)
-		}{b.Build()}, ixs...),
+		[]searcher{b.Build(), three, seg},
 		[][][2]string{docs, docs, segLive}
 }
 
