@@ -16,7 +16,6 @@ import (
 	"fulltext/internal/booleval"
 	"fulltext/internal/core"
 	"fulltext/internal/invlist"
-	"fulltext/internal/npred"
 	"fulltext/internal/ppred"
 	"fulltext/internal/pred"
 	"fulltext/internal/synth"
@@ -161,7 +160,7 @@ func BenchmarkAblationNPREDOrders(b *testing.B) {
 	reg := pred.Default()
 	w := synth.Workload{Tokens: 3, Preds: 2, Negative: true, DistLimit: s.DistLimit}
 	q := w.PipelinedQuery(env.plants)
-	plan, err := npred.Compile(q, reg)
+	plan, err := ppred.CompileNeg(q, reg)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -43,7 +43,6 @@ package fulltext
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"fulltext/internal/booleval"
@@ -52,7 +51,6 @@ import (
 	"fulltext/internal/fta"
 	"fulltext/internal/invlist"
 	"fulltext/internal/lang"
-	"fulltext/internal/npred"
 	"fulltext/internal/ppred"
 	"fulltext/internal/pred"
 	"fulltext/internal/score"
@@ -198,7 +196,13 @@ func (q *Query) String() string { return q.ast.String() }
 // Classify places the query in the Figure 3 hierarchy using the default
 // predicate registry.
 func Classify(q *Query) Class {
-	return Class(lang.Classify(q.ast, pred.Default()))
+	return classify(q, nil, pred.Default())
+}
+
+// classify rewrites q through the analyzer (nil: none), normalizes it and
+// places it in the hierarchy.
+func classify(q *Query, an *text.Analyzer, reg *pred.Registry) Class {
+	return Class(lang.Classify(lang.Normalize(rewriteQueryTokens(q.ast, an), reg), reg))
 }
 
 // Builder accumulates documents and produces an immutable Index.
@@ -371,22 +375,18 @@ func (ix *Index) Docs() int { return len(ix.ids) }
 
 // Classify places the query in the hierarchy using this index's predicate
 // registry (which may contain custom predicates).
-func (ix *Index) Classify(q *Query) Class {
-	return Class(lang.Classify(ix.rewrite(q), ix.reg))
-}
-
-// rewrite maps query tokens through the index's analyzer so queries match
-// analyzed index terms.
-func (ix *Index) rewrite(q *Query) lang.Query {
-	return rewriteQueryTokens(q.ast, ix.analyzer)
-}
+func (ix *Index) Classify(q *Query) Class { return classify(q, ix.analyzer, ix.reg) }
 
 // RegisterPredicate adds a custom position predicate usable in COMP
 // queries. eval receives the token ordinals of the bound positions and the
 // integer constants. Custom predicates are general-class: queries using
 // them evaluate on the complete engine.
 func (ix *Index) RegisterPredicate(name string, posArity, constArity int, eval func(ords []int32, consts []int) bool) error {
-	return ix.reg.Register(&pred.Def{
+	return registerPredicate(ix.reg, name, posArity, constArity, eval)
+}
+
+func registerPredicate(reg *pred.Registry, name string, posArity, constArity int, eval func(ords []int32, consts []int) bool) error {
+	return reg.Register(&pred.Def{
 		Name: name, PosArity: posArity, ConstArity: constArity,
 		Class: pred.General,
 		Eval: func(p []core.Pos, c []int) bool {
@@ -407,121 +407,195 @@ func (ix *Index) Search(q *Query) ([]Match, error) {
 // SearchWith evaluates the query with an explicit engine. Forcing an
 // engine onto a query outside its class returns an error.
 func (ix *Index) SearchWith(q *Query, e Engine) ([]Match, error) {
-	ast := ix.rewrite(q)
-	if err := lang.Validate(ast, ix.reg); err != nil {
-		return nil, err
-	}
-	norm := lang.Normalize(ast, ix.reg)
-	nodes, _, err := ix.dispatch(planUnranked(norm, ix.reg), e, nil)
+	p, err := newPlan(q, ix.analyzer, ix.reg, e, 0, nil)
 	if err != nil {
 		return nil, err
 	}
-	return ix.matches(nodes, nil), nil
-}
-
-// unranked is the per-query part of an unranked search, shared read-only
-// by every segment it runs on: the normalized query and its COMP plan,
-// built on first use — most queries never need one.
-type unranked struct {
-	norm lang.Query
-	comp func() (*compPlan, error)
-}
-
-func planUnranked(norm lang.Query, reg *pred.Registry) *unranked {
-	return &unranked{norm: norm, comp: sync.OnceValues(func() (*compPlan, error) { return planComp(norm, reg) })}
-}
-
-// compPlan is what the complete engine needs of a query under EngineAuto:
-// the validated algebra plan and its grounding analysis.
-type compPlan struct {
-	plan fta.Expr
-	an   *wand.Analysis
-}
-
-func planComp(norm lang.Query, reg *pred.Registry) (*compPlan, error) {
-	plan, err := compeval.Compile(norm, reg)
+	nodes, err := ix.run(p, nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := fta.ValidateQuery(plan, reg); err != nil {
-		return nil, err
-	}
-	return &compPlan{plan: plan, an: wand.Analyze(norm)}, nil
+	return ix.matches(nodes), nil
 }
 
-// dispatch evaluates a query on this index with engine e. live, when
-// non-nil, drops tombstoned nodes from a candidate loop before they are
-// evaluated. The string names the nodes EngineAuto's complete engine
-// evaluated, as Explain prints it, and is empty for every other engine.
-func (ix *Index) dispatch(u *unranked, e Engine, live wand.Live) ([]core.NodeID, string, error) {
-	norm := u.norm
+// plan is one query's evaluation, decided once from the query, the
+// analyzer and the predicate registry, and shared read-only by every
+// segment of every shard: segments share the analyzer and the registry,
+// and neither a ppred.Plan nor an fta.Expr keeps per-run state.
+type plan struct {
+	norm     lang.Query
+	class    lang.Class     // EngineAuto only
+	engine   Engine         // the engine every segment runs; never EngineAuto
+	fallback string         // why EngineAuto left the class's engine, if it did
+	pp       *ppred.Plan    // EnginePPRED and EngineNPRED
+	expr     fta.Expr       // EngineCOMP: the algebra plan
+	an       *wand.Analysis // EngineCOMP's grounding; nil on the 1..N scan oracles
+
+	// Ranked plans only.
+	tokens []string // the query's search tokens (score.TokensOf)
+	wand   bool     // an admits the WAND fast path
+	why    string   // why it does not
+}
+
+// newPlan rewrites, validates, normalizes, classifies and compiles q for
+// engine e. A non-nil ro plans a top-topK ranked search instead, which
+// always evaluates the algebra plan.
+//
+// EngineAuto's fallback to the complete engine is decided here, not per
+// segment: every error ppred.Compile, CompileNeg, Run and RunAll can return
+// depends on the query and the registry, never on the data. The registry
+// always holds le, so the only error Run and RunAll return is the thread
+// cap, which CheckThreads reports up front.
+func newPlan(q *Query, an *text.Analyzer, reg *pred.Registry, e Engine, topK int, ro *RankOptions) (*plan, error) {
+	ast := rewriteQueryTokens(q.ast, an)
+	if err := lang.Validate(ast, reg); err != nil {
+		return nil, err
+	}
+	// Every engine and both search kinds see one normalized shape
+	// (desugared negative predicates, hoisted quantifiers), or their
+	// results could diverge.
+	p := &plan{norm: lang.Normalize(ast, reg)}
+	if ro != nil {
+		if err := p.compileComp(reg); err != nil {
+			return nil, err
+		}
+		p.tokens = score.TokensOf(p.norm)
+		switch {
+		case ro.Exhaustive:
+			// The forced path keeps the 1..N scan: it is the oracle.
+			p.an, p.why = nil, "forced"
+		case topK <= 0:
+			p.why = "no top-K"
+		case p.an.Decline != "":
+			p.why = p.an.Decline
+		default:
+			p.wand = true
+		}
+		return p, nil
+	}
+	var err error
+	p.engine = e
 	switch e {
 	case EngineAuto:
-		switch lang.Classify(norm, ix.reg) {
+		p.class = lang.Classify(p.norm, reg)
+		switch p.class {
 		case lang.ClassBoolNoNeg, lang.ClassBool:
-			nodes, err := booleval.Eval(norm, ix.inv, nil)
-			return nodes, "", err
+			p.engine = EngineBOOL
+			return p, nil
 		case lang.ClassPPred:
-			if plan, err := ppred.Compile(norm, ix.reg); err == nil {
-				nodes, err := plan.Run(ix.inv, ix.reg, nil)
-				if err == nil {
-					return nodes, "", nil
-				}
-			}
-			// The classifier is syntactic; fall back when planning fails.
+			p.engine = EnginePPRED
+			p.pp, err = ppred.Compile(p.norm, reg)
 		case lang.ClassNPred:
-			if nodes, err := npred.Run(norm, ix.reg, ix.inv, nil, npred.Options{}); err == nil {
-				return nodes, "", nil
+			p.engine = EngineNPRED
+			p.pp, err = ppred.CompileNeg(p.norm, reg)
+		}
+		if err == nil && p.pp != nil {
+			if err = p.pp.CheckThreads(ppred.OrderOptions{}); err == nil {
+				return p, nil
 			}
 		}
-		return ix.runComp(u, live)
-	case EngineBOOL:
-		nodes, err := booleval.Eval(norm, ix.inv, nil)
-		return nodes, "", err
-	case EnginePPRED:
-		plan, err := ppred.Compile(norm, ix.reg)
+		// The classifier is syntactic: a query its class's engine refuses
+		// runs on the complete engine.
 		if err != nil {
-			return nil, "", err
+			p.pp, p.fallback = nil, err.Error()
 		}
-		nodes, err := plan.Run(ix.inv, ix.reg, nil)
-		return nodes, "", err
+		err = p.compileComp(reg)
+	case EngineBOOL:
+	case EnginePPRED:
+		p.pp, err = ppred.Compile(p.norm, reg)
 	case EngineNPRED:
-		nodes, err := npred.Run(norm, ix.reg, ix.inv, nil, npred.Options{})
-		return nodes, "", err
+		p.pp, err = ppred.CompileNeg(p.norm, reg)
 	case EngineCOMP:
 		// The forced engine keeps the 1..N scan: it is the oracle the
 		// candidate loop is checked against.
-		nodes, err := compeval.Eval(norm, ix.inv, ix.reg, compeval.Options{})
-		return nodes, "", err
+		p.expr, err = compeval.Compile(p.norm, reg)
 	default:
-		return nil, "", fmt.Errorf("fulltext: unknown engine %d", e)
+		err = fmt.Errorf("fulltext: unknown engine %d", e)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
-// runComp evaluates the query on the complete engine: on the candidates
-// its grounding cover names, or by the 1..N scan when it has none.
-func (ix *Index) runComp(u *unranked, live wand.Live) ([]core.NodeID, string, error) {
-	cp, err := u.comp()
+// compileComp plans the complete engine: the validated algebra plan and
+// the grounding analysis its candidate loops run on.
+func (p *plan) compileComp(reg *pred.Registry) error {
+	expr, err := compeval.Compile(p.norm, reg)
 	if err != nil {
-		return nil, "", err
+		return err
+	}
+	if err := fta.ValidateQuery(expr, reg); err != nil {
+		return err
+	}
+	p.engine, p.expr, p.an = EngineCOMP, expr, wand.Analyze(p.norm)
+	return nil
+}
+
+// candidates reports whether the complete engine evaluates only the nodes
+// the query's posting lists name, rather than every node.
+func (p *plan) candidates() bool { return p.an != nil && p.an.Grounded }
+
+// explain renders the plan for Explain: the engine, why EngineAuto fell
+// back when it did, and the engine's own plan.
+func (p *plan) explain() string {
+	out := fmt.Sprintf("engine: %s (class %s)\n", p.engine, p.class)
+	if p.fallback != "" {
+		out += "fallback: " + p.fallback + "\n"
+	}
+	switch p.engine {
+	case EngineBOOL:
+		return out + fmt.Sprintf("merge of posting lists for: %s\n", p.norm)
+	case EnginePPRED:
+		return out + p.pp.Explain()
+	case EngineNPRED:
+		for _, b := range p.pp.NegBlocks() {
+			out += fmt.Sprintf("order threads over %v\n", b.Vars)
+		}
+		return out + p.pp.Explain()
+	}
+	return out + "candidates: " + p.an.Source() + "\n" + fta.Tree(p.expr)
+}
+
+// path names the ranked evaluation path for spans and Explain.
+func (p *plan) path() string {
+	switch {
+	case p.wand:
+		return "wand"
+	case p.candidates():
+		return "exhaustive (" + p.why + ", candidates)"
+	}
+	return "exhaustive (" + p.why + ")"
+}
+
+// run evaluates an unranked plan on this index. live, when non-nil, drops
+// tombstoned nodes from a candidate loop before they are evaluated.
+func (ix *Index) run(p *plan, live wand.Live) ([]core.NodeID, error) {
+	switch p.engine {
+	case EngineBOOL:
+		return booleval.Eval(p.norm, ix.inv, nil)
+	case EnginePPRED:
+		return p.pp.Run(ix.inv, ix.reg, nil)
+	case EngineNPRED:
+		return p.pp.RunAll(ix.inv, ix.reg, nil, ppred.OrderOptions{})
 	}
 	ev := &fta.Evaluator{Index: ix.inv, Reg: ix.reg}
-	if !cp.an.Grounded {
-		res, err := ev.Eval(cp.plan)
+	if !p.candidates() {
+		res, err := ev.Eval(p.expr)
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
-		return res.Nodes, cp.an.Source(), nil
+		return res.Nodes, nil
 	}
-	ms, err := wand.Collect(ev, cp.plan, cp.an, nil, live)
+	ms, err := wand.Collect(ev, p.expr, p.an, nil, live)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	nodes := make([]core.NodeID, len(ms))
 	for i, m := range ms {
 		nodes[i] = m.Node
 	}
-	return nodes, cp.an.Source(), nil
+	return nodes, nil
 }
 
 // RankOptions tunes ranked evaluation.
@@ -603,11 +677,11 @@ func (ix *Index) SearchRanked(q *Query, m ScoringModel, topK int) ([]Match, erro
 
 // SearchRankedOpts is SearchRanked with explicit ranked-evaluation options.
 func (ix *Index) SearchRankedOpts(q *Query, m ScoringModel, topK int, o RankOptions) ([]Match, error) {
-	rp, err := planRanked(q, ix.analyzer, ix.reg, topK, o)
+	p, err := newPlan(q, ix.analyzer, ix.reg, EngineAuto, topK, &o)
 	if err != nil {
 		return nil, err
 	}
-	ranked, err := ix.rankedNodes(rp, m, ix.inv, topK, o, nil, nil)
+	ranked, err := ix.rankedNodes(p, m, ix.inv, topK, o, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -616,67 +690,6 @@ func (ix *Index) SearchRankedOpts(q *Query, m ScoringModel, topK int, o RankOpti
 		out[i] = Match{ID: ix.idOf(r.Node), Score: r.Score}
 	}
 	return out, nil
-}
-
-// rankedPlan is the part of a ranked evaluation that depends on the query
-// alone. It is built once per query and shared, read-only, by every
-// segment of every shard: segments share the analyzer and the registry.
-type rankedPlan struct {
-	tokens []string       // the query's search tokens (score.TokensOf)
-	plan   fta.Expr       // the validated algebra plan both paths evaluate
-	wand   *wand.Analysis // nil when the query takes the exhaustive path
-	cand   *wand.Analysis // the exhaustive path's candidates; nil: 1..N scan
-	why    string         // why wand is nil
-}
-
-// planRanked rewrites, validates, normalizes, compiles and analyzes q.
-func planRanked(q *Query, an *text.Analyzer, reg *pred.Registry, topK int, o RankOptions) (*rankedPlan, error) {
-	ast := rewriteQueryTokens(q.ast, an)
-	if err := lang.Validate(ast, reg); err != nil {
-		return nil, err
-	}
-	// Normalize exactly as SearchWith does: the complete engine must see the
-	// same shape (desugared negative predicates, hoisted quantifiers) the
-	// Boolean path evaluates, or ranked and unranked results can diverge.
-	norm := lang.Normalize(ast, reg)
-	plan, err := compeval.Compile(norm, reg)
-	if err != nil {
-		return nil, err
-	}
-	if err := fta.ValidateQuery(plan, reg); err != nil {
-		return nil, err
-	}
-	rp := &rankedPlan{tokens: score.TokensOf(norm), plan: plan}
-	if o.Exhaustive {
-		// The forced path keeps the 1..N scan: it is the oracle.
-		rp.why = "forced"
-		return rp, nil
-	}
-	a := wand.Analyze(norm)
-	switch {
-	case topK <= 0:
-		rp.why = "no top-K"
-	case a.Decline != "":
-		rp.why = a.Decline
-	default:
-		rp.wand = a
-		return rp, nil
-	}
-	if a.Grounded {
-		rp.cand = a
-	}
-	return rp, nil
-}
-
-// path names the ranked evaluation path for spans and Explain.
-func (rp *rankedPlan) path() string {
-	switch {
-	case rp.wand != nil:
-		return "wand"
-	case rp.cand != nil:
-		return "exhaustive (" + rp.why + ", candidates)"
-	}
-	return "exhaustive (" + rp.why + ")"
 }
 
 // scorerFor builds the scoring model for a query's search tokens against
@@ -702,15 +715,15 @@ func (ix *Index) scorerFor(tokens []string, m ScoringModel, st score.CorpusStats
 // threshold; live, when non-nil, filters tombstoned documents out before
 // ranking (and before topK truncation) — before they are evaluated, except
 // on the 1..N scan.
-func (ix *Index) rankedNodes(rp *rankedPlan, m ScoringModel, st score.CorpusStats, topK int, o RankOptions, shared *wand.Shared, live wand.Live) ([]score.Ranked, error) {
-	scorer, err := ix.scorerFor(rp.tokens, m, st)
+func (ix *Index) rankedNodes(p *plan, m ScoringModel, st score.CorpusStats, topK int, o RankOptions, shared *wand.Shared, live wand.Live) ([]score.Ranked, error) {
+	scorer, err := ix.scorerFor(p.tokens, m, st)
 	if err != nil {
 		return nil, err
 	}
 	ev := &fta.Evaluator{Index: ix.inv, Reg: ix.reg, Scorer: scorer}
-	if rp.wand != nil {
+	if p.wand {
 		var ws wand.Stats
-		ranked, err := wand.Eval(ev, rp.plan, rp.wand, scorer, topK, shared, &ws, live)
+		ranked, err := wand.Eval(ev, p.expr, p.an, scorer, topK, shared, &ws, live)
 		if err != nil {
 			return nil, err
 		}
@@ -719,9 +732,9 @@ func (ix *Index) rankedNodes(rp *rankedPlan, m ScoringModel, st score.CorpusStat
 		return ranked, nil
 	}
 	var ranked []score.Ranked
-	if rp.cand != nil {
+	if p.candidates() {
 		var ws wand.Stats
-		if ranked, err = wand.Collect(ev, rp.plan, rp.cand, &ws, live); err != nil {
+		if ranked, err = wand.Collect(ev, p.expr, p.an, &ws, live); err != nil {
 			return nil, err
 		}
 		ix.rc.addExhaustive(ws)
@@ -734,7 +747,7 @@ func (ix *Index) rankedNodes(rp *rankedPlan, m ScoringModel, st score.CorpusStat
 			return ranked[i].Node < ranked[j].Node
 		})
 	} else {
-		res, err := ev.Eval(rp.plan)
+		res, err := ev.Eval(p.expr)
 		if err != nil {
 			return nil, err
 		}
@@ -764,17 +777,17 @@ func (ix *Index) rankedNodes(rp *rankedPlan, m ScoringModel, st score.CorpusStat
 // is unavailable without paying the O(index) statistics pass — the caller
 // (adaptive shard fan-out) must then treat the index as unbounded. The
 // bound is a planning hint only; it never affects results.
-func (ix *Index) rankedUpperBound(rp *rankedPlan, m ScoringModel, st score.CorpusStats) (float64, bool) {
+func (ix *Index) rankedUpperBound(p *plan, m ScoringModel, st score.CorpusStats) (float64, bool) {
 	if ix.inv.StatsBlockIfWarm(st) == nil {
 		return 0, false
 	}
-	scorer, err := ix.scorerFor(rp.tokens, m, st)
+	scorer, err := ix.scorerFor(p.tokens, m, st)
 	if err != nil {
 		return 0, false
 	}
 	var ub float64
-	for _, tok := range rp.wand.Tokens {
-		ub += float64(rp.wand.Count[tok]) * scorer.UpperBound(tok)
+	for _, tok := range p.an.Tokens {
+		ub += float64(p.an.Count[tok]) * scorer.UpperBound(tok)
 	}
 	return ub, true
 }
@@ -782,53 +795,28 @@ func (ix *Index) rankedUpperBound(rp *rankedPlan, m ScoringModel, st score.Corpu
 // RankedPath reports which path a top-K ranked search of q takes: "wand",
 // or "exhaustive (<reason>)" with the reason the fast path declined it.
 func (ix *Index) RankedPath(q *Query) (string, error) {
-	rp, err := planRanked(q, ix.analyzer, ix.reg, 1, RankOptions{})
+	p, err := newPlan(q, ix.analyzer, ix.reg, EngineAuto, 1, &RankOptions{})
 	if err != nil {
 		return "", err
 	}
-	return rp.path(), nil
+	return p.path(), nil
 }
 
-// Explain reports which engine EngineAuto would pick and renders its query
-// plan; for the complete engine it also names the nodes evaluated.
+// Explain reports the engine EngineAuto runs the query on, and why it fell
+// back to the complete engine if it did, and renders that engine's plan;
+// for the complete engine it also names the nodes evaluated.
 func (ix *Index) Explain(q *Query) (string, error) {
-	ast := ix.rewrite(q)
-	if err := lang.Validate(ast, ix.reg); err != nil {
-		return "", err
-	}
-	norm := lang.Normalize(ast, ix.reg)
-	class := lang.Classify(norm, ix.reg)
-	switch class {
-	case lang.ClassBoolNoNeg, lang.ClassBool:
-		return fmt.Sprintf("engine: BOOL (class %s)\nmerge of posting lists for: %s\n", class, norm), nil
-	case lang.ClassPPred:
-		if plan, err := ppred.Compile(norm, ix.reg); err == nil {
-			return fmt.Sprintf("engine: PPRED (class %s)\n%s", class, plan.Explain()), nil
-		}
-	case lang.ClassNPred:
-		if plan, err := ppred.CompileNeg(norm, ix.reg); err == nil {
-			orders := ""
-			for _, b := range plan.NegBlocks() {
-				orders += fmt.Sprintf("order threads over %v\n", b.Vars)
-			}
-			return fmt.Sprintf("engine: NPRED (class %s)\n%s%s", class, orders, plan.Explain()), nil
-		}
-	}
-	cp, err := planComp(norm, ix.reg)
+	p, err := newPlan(q, ix.analyzer, ix.reg, EngineAuto, 0, nil)
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("engine: COMP (class %s)\ncandidates: %s\n%s", class, cp.an.Source(), fta.Tree(cp.plan)), nil
+	return p.explain(), nil
 }
 
-func (ix *Index) matches(nodes []core.NodeID, scores map[core.NodeID]float64) []Match {
-	out := make([]Match, 0, len(nodes))
-	for _, n := range nodes {
-		m := Match{ID: ix.idOf(n)}
-		if scores != nil {
-			m.Score = scores[n]
-		}
-		out = append(out, m)
+func (ix *Index) matches(nodes []core.NodeID) []Match {
+	out := make([]Match, len(nodes))
+	for i, n := range nodes {
+		out[i] = Match{ID: ix.idOf(n)}
 	}
 	return out
 }

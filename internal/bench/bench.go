@@ -20,7 +20,6 @@ import (
 	"fulltext/internal/compeval"
 	"fulltext/internal/core"
 	"fulltext/internal/invlist"
-	"fulltext/internal/npred"
 	"fulltext/internal/ppred"
 	"fulltext/internal/pred"
 	"fulltext/internal/synth"
@@ -189,7 +188,7 @@ func RunSeries(series string, ix *invlist.Index, reg *pred.Registry, plants []st
 		wn := w
 		wn.Negative = true
 		q := wn.PipelinedQuery(plants)
-		plan, err := npred.Compile(q, reg)
+		plan, err := ppred.CompileNeg(q, reg)
 		if err != nil {
 			return Cell{Err: err.Error()}
 		}

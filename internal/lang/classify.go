@@ -1,6 +1,8 @@
 package lang
 
 import (
+	"sort"
+
 	"fulltext/internal/pred"
 )
 
@@ -72,9 +74,8 @@ func DesugarNegPreds(q Query, reg *pred.Registry) Query {
 	}
 }
 
-// Classify places a (normalized) query in the hierarchy.
+// Classify places a normalized query (see Normalize) in the hierarchy.
 func Classify(q Query, reg *pred.Registry) Class {
-	q = Normalize(q, reg)
 	if isBoolNoNeg(q) {
 		return ClassBoolNoNeg
 	}
@@ -271,7 +272,7 @@ func BoundVars(q Query) []string {
 	for v := range set {
 		out = append(out, v)
 	}
-	sortStrings(out)
+	sort.Strings(out)
 	return out
 }
 
@@ -300,14 +301,6 @@ func boundVarSet(q Query) map[string]bool {
 		return out
 	default:
 		return map[string]bool{}
-	}
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
 	}
 }
 

@@ -227,7 +227,7 @@ func TestClassify(t *testing.T) {
 	}
 	for _, tc := range cases {
 		q := mustParse(t, DialectCOMP, tc.q)
-		if got := Classify(q, reg); got != tc.want {
+		if got := Classify(Normalize(q, reg), reg); got != tc.want {
 			t.Errorf("Classify(%q) = %s, want %s", tc.q, got, tc.want)
 		}
 	}
@@ -515,7 +515,7 @@ func TestPhraseLiterals(t *testing.T) {
 			t.Errorf("phrase desugar = %s missing %q", s, want)
 		}
 	}
-	if got := Classify(q, reg); got != ClassPPred {
+	if got := Classify(Normalize(q, reg), reg); got != ClassPPred {
 		t.Errorf("phrase classified %s, want PPRED", got)
 	}
 	// Semantics: adjacency in order.

@@ -2,6 +2,7 @@ package ppred
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -75,22 +76,12 @@ func (p *Plan) RunAll(ix *invlist.Index, reg *pred.Registry, stats *Stats, opts 
 	if len(blocks) == 0 {
 		return p.runThread(ix, reg, nil, stats, opts)
 	}
-	if opts.MaxThreads <= 0 {
-		opts.MaxThreads = 50000
+	if err := p.ownThreads(opts); err != nil {
+		return nil, err
 	}
-
 	perBlock := make([][][]string, len(blocks))
-	total := 1
 	for i, b := range blocks {
-		vars := b.Vars
-		if opts.FullOrders {
-			vars = b.AllVars
-		}
-		perBlock[i] = Permutations(vars)
-		total *= len(perBlock[i])
-		if total > opts.MaxThreads {
-			return nil, fmt.Errorf("ppred: %d ordering threads exceed limit %d", total, opts.MaxThreads)
-		}
+		perBlock[i] = Permutations(b.orderVars(opts))
 	}
 
 	// Materialize the cartesian product of per-block orderings.
@@ -181,6 +172,75 @@ func (p *Plan) RunAll(ix *invlist.Index, reg *pred.Registry, stats *Stats, opts 
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, nil
+}
+
+const defaultMaxThreads = 50000
+
+// orderVars returns the variables whose orderings RunAll enumerates for b.
+func (b *BlockOrder) orderVars(opts OrderOptions) []string {
+	if opts.FullOrders {
+		return b.AllVars
+	}
+	return b.Vars
+}
+
+// ownThreads returns the error RunAll returns when p's ordering threads —
+// the product over its negative blocks of (ordered variables)! — exceed
+// opts.MaxThreads. It counts without materializing any ordering, and the
+// product saturates instead of overflowing.
+func (p *Plan) ownThreads(opts OrderOptions) error {
+	limit := opts.MaxThreads
+	if limit <= 0 {
+		limit = defaultMaxThreads
+	}
+	total := 1
+	for _, b := range p.negBlocks {
+		for k := 2; k <= len(b.orderVars(opts)); k++ {
+			if total > math.MaxInt/k {
+				total = math.MaxInt
+			} else {
+				total *= k
+			}
+		}
+		if total > limit {
+			return fmt.Errorf("ppred: %d ordering threads exceed limit %d", total, limit)
+		}
+	}
+	return nil
+}
+
+// CheckThreads reports the thread-limit error Run or RunAll would return
+// for p under opts on any index: from p itself or from any closed sub-plan
+// (a NOT operand or a node-union branch), each of which runs its own
+// permutation union when instantiated. A planner calls it to decide, once
+// per query, whether the pipelined engines can run the query at all.
+func (p *Plan) CheckThreads(opts OrderOptions) error {
+	if err := p.ownThreads(opts); err != nil {
+		return err
+	}
+	for _, sub := range subPlans(p.root, nil) {
+		if err := sub.CheckThreads(opts); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// subPlans appends the closed sub-plans directly under n to out, in the
+// order instantiation runs them.
+func subPlans(n planNode, out []*Plan) []*Plan {
+	switch x := n.(type) {
+	case *pnBlock:
+		for _, pr := range x.producers {
+			out = subPlans(pr, out)
+		}
+		out = append(out, x.anti...)
+	case *pnUnion1:
+		out = subPlans(x.r, subPlans(x.l, out))
+	case *pnNodeUnion:
+		out = append(out, x.branches...)
+	}
+	return out
 }
 
 // Permutations returns all permutations of vars (Heap's algorithm). The

@@ -1,4 +1,8 @@
-package npred
+package ppred
+
+// The NPRED engine of Section 5.6: pipelined plans with negative
+// predicates run one thread per cursor ordering (RunAll), node sets
+// unioned.
 
 import (
 	"fmt"
@@ -7,52 +11,19 @@ import (
 	"testing"
 
 	"fulltext/internal/core"
-	"fulltext/internal/ftc"
 	"fulltext/internal/invlist"
 	"fulltext/internal/lang"
-	"fulltext/internal/ppred"
 	"fulltext/internal/pred"
 )
 
-func parse(t testing.TB, s string) lang.Query {
-	t.Helper()
-	q, err := lang.Parse(lang.DialectCOMP, s)
+// runNPRED compiles q with negative predicates allowed and runs it under
+// the NPRED strategy. stats may be nil.
+func runNPRED(q lang.Query, reg *pred.Registry, ix *invlist.Index, stats *Stats, opts OrderOptions) ([]core.NodeID, error) {
+	plan, err := CompileNeg(q, reg)
 	if err != nil {
-		t.Fatalf("parse %q: %v", s, err)
+		return nil, err
 	}
-	return q
-}
-
-func corpusIx(t testing.TB, docs ...string) (*core.Corpus, *invlist.Index) {
-	t.Helper()
-	c := core.NewCorpus()
-	for i, text := range docs {
-		if _, err := c.Add(fmt.Sprintf("d%d", i+1), text); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return c, invlist.Build(c)
-}
-
-func oracle(t testing.TB, c *core.Corpus, q lang.Query) []core.NodeID {
-	t.Helper()
-	nodes, err := ftc.Query(c, pred.Default(), lang.ToFTC(q))
-	if err != nil {
-		t.Fatalf("oracle: %v", err)
-	}
-	return nodes
-}
-
-func same(a, b []core.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return plan.RunAll(ix, reg, stats, opts)
 }
 
 // The Section 5.6.2 example: tokens "assignment" and "judge" at least 40
@@ -66,7 +37,7 @@ func TestNotDistanceExample(t *testing.T) {
 		"assignment near a judge "+filler, // close: no match
 	)
 	q := parse(t, `SOME p1 SOME p2 (p1 HAS 'assignment' AND p2 HAS 'judge' AND not_distance(p1,p2,40))`)
-	got, err := Run(q, pred.Default(), ix, nil, Options{})
+	got, err := runNPRED(q, pred.Default(), ix, nil, OrderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +70,7 @@ func TestNegativePredicatesBasics(t *testing.T) {
 		`SOME p1 SOME p2 (p1 HAS 'aa' AND p2 HAS 'bb' AND NOT distance(p1,p2,0))`,
 	} {
 		q := parse(t, s)
-		got, err := Run(q, pred.Default(), ix, nil, Options{})
+		got, err := runNPRED(q, pred.Default(), ix, nil, OrderOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
@@ -108,27 +79,6 @@ func TestNegativePredicatesBasics(t *testing.T) {
 			t.Fatalf("%s:\nnpred  = %v\noracle = %v", s, got, want)
 		}
 	}
-}
-
-func randomStructuredCorpus(rng *rand.Rand, vocab []string, nDocs, maxLen int) *core.Corpus {
-	c := core.NewCorpus()
-	for i := 0; i < nDocs; i++ {
-		n := rng.Intn(maxLen + 1)
-		var b strings.Builder
-		for j := 0; j < n; j++ {
-			b.WriteString(vocab[rng.Intn(len(vocab))])
-			switch rng.Intn(8) {
-			case 0:
-				b.WriteString(". ")
-			case 1:
-				b.WriteString("\n\n")
-			default:
-				b.WriteString(" ")
-			}
-		}
-		c.MustAdd(fmt.Sprintf("doc%d", i), b.String())
-	}
-	return c
 }
 
 // negGen generates random pipelined queries with negative predicates.
@@ -201,13 +151,13 @@ func TestNPREDMatchesOracle(t *testing.T) {
 		q := g.query()
 		c := randomStructuredCorpus(rng, vocab, 6, 10)
 		ix := invlist.Build(c)
-		got, err := Run(q, reg, ix, nil, Options{})
+		got, err := runNPRED(q, reg, ix, nil, OrderOptions{})
 		if err != nil {
 			t.Fatalf("run %s: %v", q, err)
 		}
 		want := oracle(t, c, q)
 		if !same(got, want) {
-			plan, _ := Compile(q, reg)
+			plan, _ := CompileNeg(q, reg)
 			t.Fatalf("query %s:\nnpred  = %v\noracle = %v\nplan:\n%s", q, got, want, plan.Explain())
 		}
 	}
@@ -224,12 +174,12 @@ func TestFullOrdersAblation(t *testing.T) {
 		q := g.query()
 		c := randomStructuredCorpus(rng, vocab, 5, 8)
 		ix := invlist.Build(c)
-		s1, s2 := &ppred.Stats{}, &ppred.Stats{}
-		partial, err := Run(q, reg, ix, s1, Options{})
+		s1, s2 := &Stats{}, &Stats{}
+		partial, err := runNPRED(q, reg, ix, s1, OrderOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := Run(q, reg, ix, s2, Options{FullOrders: true})
+		full, err := runNPRED(q, reg, ix, s2, OrderOptions{FullOrders: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,8 +199,8 @@ func TestNPREDThreadBound(t *testing.T) {
 	_, ix := corpusIx(t, "aa bb cc dd", "dd cc bb aa")
 	q := parse(t, `SOME p1 SOME p2 SOME p3 (p1 HAS 'aa' AND p2 HAS 'bb' AND p3 HAS 'cc'
 		AND not_distance(p1,p2,1) AND not_distance(p2,p3,1))`)
-	stats := &ppred.Stats{}
-	if _, err := Run(q, reg, ix, stats, Options{}); err != nil {
+	stats := &Stats{}
+	if _, err := runNPRED(q, reg, ix, stats, OrderOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if stats.Threads > 6 { // 3! = 6
@@ -266,7 +216,7 @@ func TestMaxThreadsGuard(t *testing.T) {
 	_, ix := corpusIx(t, "aa bb")
 	q := parse(t, `SOME p1 SOME p2 SOME p3 (p1 HAS 'aa' AND p2 HAS 'bb' AND p3 HAS 'aa'
 		AND not_distance(p1,p2,1) AND not_distance(p2,p3,1) AND diffpos(p1,p3))`)
-	if _, err := Run(q, reg, ix, nil, Options{MaxThreads: 2}); err == nil {
+	if _, err := runNPRED(q, reg, ix, nil, OrderOptions{MaxThreads: 2}); err == nil {
 		t.Fatalf("MaxThreads guard did not trip")
 	}
 }
@@ -276,8 +226,8 @@ func TestMaxThreadsGuard(t *testing.T) {
 func TestPurePositiveThroughNPRED(t *testing.T) {
 	c, ix := corpusIx(t, "aa bb", "bb aa")
 	q := parse(t, `SOME p1 SOME p2 (p1 HAS 'aa' AND p2 HAS 'bb' AND ordered(p1,p2))`)
-	stats := &ppred.Stats{}
-	got, err := Run(q, pred.Default(), ix, stats, Options{})
+	stats := &Stats{}
+	got, err := runNPRED(q, pred.Default(), ix, stats, OrderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +248,7 @@ func TestNegativeInsideNotOperand(t *testing.T) {
 		"xx yy",
 	)
 	q := parse(t, `'xx' AND NOT (SOME p1 SOME p2 (p1 HAS 'aa' AND p2 HAS 'bb' AND not_distance(p1,p2,1)))`)
-	got, err := Run(q, pred.Default(), ix, nil, Options{})
+	got, err := runNPRED(q, pred.Default(), ix, nil, OrderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,17 +269,71 @@ func TestParallelThreads(t *testing.T) {
 		q := g.query()
 		c := randomStructuredCorpus(rng, vocab, 6, 10)
 		ix := invlist.Build(c)
-		seq, err := Run(q, reg, ix, nil, Options{})
+		seq, err := runNPRED(q, reg, ix, nil, OrderOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2 := &ppred.Stats{}
-		par, err := Run(q, reg, ix, s2, Options{Parallel: true, FullOrders: true})
+		s2 := &Stats{}
+		par, err := runNPRED(q, reg, ix, s2, OrderOptions{Parallel: true, FullOrders: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !same(seq, par) {
 			t.Fatalf("query %s: sequential=%v parallel=%v", q, seq, par)
 		}
+	}
+}
+
+// negChain is a block of n scan variables whose negative predicates chain
+// all of them, so every one of them must be ordered: n! threads.
+func negChain(n int) string {
+	var some, conj []string
+	for i := 1; i <= n; i++ {
+		some = append(some, fmt.Sprintf("SOME p%d", i))
+		conj = append(conj, fmt.Sprintf("p%d HAS 'aa'", i))
+		if i > 1 {
+			conj = append(conj, fmt.Sprintf("not_distance(p%d,p%d,1)", i-1, i))
+		}
+	}
+	return strings.Join(some, " ") + " (" + strings.Join(conj, " AND ") + ")"
+}
+
+// TestThreadCapBeforeOrderings: a plan whose orderings exceed MaxThreads is
+// refused before any ordering is built (12! would need gigabytes), with
+// the error CheckThreads reports for it; a closed sub-plan over the limit
+// is refused by CheckThreads too, and by the run that instantiates it.
+func TestThreadCapBeforeOrderings(t *testing.T) {
+	reg := pred.Default()
+	_, ix := corpusIx(t, "aa aa aa", "xx")
+	plan, err := CompileNeg(parse(t, negChain(12)), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "ppred: 479001600 ordering threads exceed limit 50000"
+	var runErr error
+	allocs := testing.AllocsPerRun(5, func() { _, runErr = plan.RunAll(ix, reg, nil, OrderOptions{}) })
+	if runErr == nil || runErr.Error() != want {
+		t.Fatalf("RunAll error = %v, want %q", runErr, want)
+	}
+	if allocs > 100 {
+		t.Fatalf("refusing 12! orderings took %.0f allocations, want <= 100", allocs)
+	}
+	if err := plan.CheckThreads(OrderOptions{}); err == nil || err.Error() != want {
+		t.Fatalf("CheckThreads = %v, want %q", err, want)
+	}
+	if err := plan.CheckThreads(OrderOptions{MaxThreads: 1 << 30}); err != nil {
+		t.Fatalf("CheckThreads under a 2^30 limit: %v", err)
+	}
+
+	nested, err := Compile(parse(t, `'xx' AND NOT (`+negChain(9)+`)`), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantNested = "ppred: 362880 ordering threads exceed limit 50000"
+	if err := nested.CheckThreads(OrderOptions{}); err == nil || err.Error() != wantNested {
+		t.Fatalf("nested CheckThreads = %v, want %q", err, wantNested)
+	}
+	if _, err := nested.Run(ix, reg, nil); err == nil || err.Error() != wantNested {
+		t.Fatalf("nested Run error = %v, want %q", err, wantNested)
 	}
 }

@@ -84,7 +84,7 @@ func TestWorkloadQueries(t *testing.T) {
 				if !lang.Closed(q) {
 					t.Fatalf("workload query not closed: %s", q)
 				}
-				class := lang.Classify(q, reg)
+				class := lang.Classify(lang.Normalize(q, reg), reg)
 				switch {
 				case preds == 0 && class > lang.ClassPPred:
 					t.Errorf("predicate-free query classified %s", class)
@@ -96,7 +96,7 @@ func TestWorkloadQueries(t *testing.T) {
 			}
 			w := Workload{Tokens: toks, Preds: preds}
 			b := w.BoolQuery(plants)
-			if got := lang.Classify(b, reg); got != lang.ClassBoolNoNeg {
+			if got := lang.Classify(lang.Normalize(b, reg), reg); got != lang.ClassBoolNoNeg {
 				t.Errorf("BoolQuery classified %s", got)
 			}
 		}

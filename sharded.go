@@ -10,7 +10,6 @@ import (
 
 	"fulltext/internal/core"
 	"fulltext/internal/errfs"
-	"fulltext/internal/lang"
 	"fulltext/internal/pred"
 	"fulltext/internal/score"
 	"fulltext/internal/segment"
@@ -452,43 +451,23 @@ func (s *ShardedIndex) Stats() Stats {
 func (s *ShardedIndex) RegisterPredicate(name string, posArity, constArity int, eval func(ords []int32, consts []int) bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	lead := s.leadIndex()
-	if lead == nil {
-		return fmt.Errorf("fulltext: sharded index has no shards")
-	}
-	return lead.RegisterPredicate(name, posArity, constArity, eval)
-}
-
-// leadIndex returns an arbitrary segment wrapper: query rewriting,
-// validation and classification are data-independent, and every segment
-// shares the registry and analyzer.
-func (s *ShardedIndex) leadIndex() *Index {
-	for _, segs := range s.shards {
-		for _, sg := range segs {
-			return sg.ix
-		}
-	}
-	return nil
+	return registerPredicate(s.reg, name, posArity, constArity, eval)
 }
 
 // Classify places the query in the hierarchy (see Index.Classify).
 func (s *ShardedIndex) Classify(q *Query) Class {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return Class(lang.Classify(rewriteQueryTokens(q.ast, s.analyzer), s.reg))
+	return classify(q, s.analyzer, s.reg)
 }
 
-// Explain reports the engine EngineAuto would pick on each shard and the
-// lead-segment plan (plans are data-independent across shards and
-// segments).
+// Explain reports the plan every segment of every shard runs (see
+// Index.Explain): plans depend on the query, the analyzer and the
+// registry, never on the data.
 func (s *ShardedIndex) Explain(q *Query) (string, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	lead := s.leadIndex()
-	if lead == nil {
-		return "", fmt.Errorf("fulltext: sharded index has no shards")
-	}
-	plan, err := lead.Explain(q)
+	p, err := newPlan(q, s.analyzer, s.reg, EngineAuto, 0, nil)
 	if err != nil {
 		return "", err
 	}
@@ -496,7 +475,7 @@ func (s *ShardedIndex) Explain(q *Query) (string, error) {
 	for _, ss := range s.shards {
 		segs += len(ss)
 	}
-	return fmt.Sprintf("shards: %d over %d segments (parallel fan-out, merge)\n%s", len(s.shards), segs, plan), nil
+	return fmt.Sprintf("shards: %d over %d segments (parallel fan-out, merge)\n%s", len(s.shards), segs, p.explain()), nil
 }
 
 // RankedPath reports which path a top-K ranked search of q takes (see
@@ -504,11 +483,11 @@ func (s *ShardedIndex) Explain(q *Query) (string, error) {
 func (s *ShardedIndex) RankedPath(q *Query) (string, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	rp, err := planRanked(q, s.analyzer, s.reg, 1, RankOptions{})
+	p, err := newPlan(q, s.analyzer, s.reg, EngineAuto, 1, &RankOptions{})
 	if err != nil {
 		return "", err
 	}
-	return rp.path(), nil
+	return p.path(), nil
 }
 
 // Search evaluates the query with the automatically selected engine on
@@ -534,38 +513,23 @@ func (s *ShardedIndex) SearchWithTrace(q *Query, e Engine, tr *telemetry.Span) (
 		tr.Annotate("cache", "hit")
 		return docsToMatches(docs, false), nil
 	}
-	// Rewrite/validate/normalize once; segments share the analyzer and the
-	// registry, so the normalized AST — and the COMP plan built from it on
-	// first use — is shard-independent.
-	var t0 time.Time
-	if timed {
-		t0 = time.Now()
-	}
-	ast := rewriteQueryTokens(q.ast, s.analyzer)
-	if err := lang.Validate(ast, s.reg); err != nil {
+	p, err := s.planQuery(q, e, 0, nil, tel, tr)
+	if err != nil {
 		return nil, err
 	}
-	u := planUnranked(lang.Normalize(ast, s.reg), s.reg)
-	if timed {
-		d := time.Since(t0)
-		if tel != nil {
-			tel.planH.Observe(d.Seconds())
-		}
-		tr.ChildDone("plan", d)
-	}
 	lists := make([][]shard.Doc, len(s.shards))
-	err := shard.Fanout(len(s.shards), 0, func(i int) error {
+	err = shard.Fanout(len(s.shards), 0, func(i int) error {
 		sp, st := s.startShardSpan(tel, tr, i)
 		segLists := make([][]shard.Doc, 0, len(s.shards[i]))
 		for _, sg := range s.shards[i] {
-			nodes, src, err := sg.ix.dispatch(u, e, sg.meta.LiveFilter())
+			nodes, err := sg.ix.run(p, sg.meta.LiveFilter())
 			if err != nil {
 				return err
 			}
-			if sp != nil && src != "" {
-				sp.Annotate("nodes", src)
-			}
 			segLists = append(segLists, sg.boolDocs(nodes))
+		}
+		if sp != nil && p.an != nil {
+			sp.Annotate("nodes", p.an.Source())
 		}
 		lists[i] = shard.MergeByOrd(segLists)
 		s.endShardSpan(tel, sp, st, len(s.shards[i]), len(lists[i]))
@@ -574,6 +538,7 @@ func (s *ShardedIndex) SearchWithTrace(q *Query, e Engine, tr *telemetry.Span) (
 	if err != nil {
 		return nil, err
 	}
+	var t0 time.Time
 	if timed {
 		t0 = time.Now()
 	}
@@ -587,6 +552,37 @@ func (s *ShardedIndex) SearchWithTrace(q *Query, e Engine, tr *telemetry.Span) (
 	}
 	s.cache.Put(key, docs)
 	return docsToMatches(docs, false), nil
+}
+
+// planQuery builds the plan every segment runs for q (see newPlan): segments
+// share the analyzer and the registry. When tel or tr is set, it records
+// how long planning took in the plan histogram and as a "plan" span on tr
+// noting the engine and any fallback, or the ranked path.
+func (s *ShardedIndex) planQuery(q *Query, e Engine, topK int, ro *RankOptions, tel *engineTel, tr *telemetry.Span) (*plan, error) {
+	if tel == nil && tr == nil {
+		return newPlan(q, s.analyzer, s.reg, e, topK, ro)
+	}
+	t0 := time.Now()
+	p, err := newPlan(q, s.analyzer, s.reg, e, topK, ro)
+	if err != nil {
+		return nil, err
+	}
+	d := time.Since(t0)
+	if tel != nil {
+		tel.planH.Observe(d.Seconds())
+	}
+	sp := tr.ChildDone("plan", d)
+	switch {
+	case sp == nil:
+	case ro != nil:
+		sp.Annotate("ranked_path", p.path())
+	default:
+		sp.Annotate("engine", p.engine)
+		if p.fallback != "" {
+			sp.Annotate("fallback", p.fallback)
+		}
+	}
+	return p, nil
 }
 
 // startShardSpan begins the per-shard fan-out instrumentation: a child
@@ -641,37 +637,21 @@ func (s *ShardedIndex) SearchRankedOpts(q *Query, m ScoringModel, topK int, o Ra
 		tr.Annotate("cache", "hit")
 		return docsToMatches(docs, true), nil
 	}
-	var t0 time.Time
-	if timed {
-		t0 = time.Now()
-	}
-	// Plan once: rewriting, validation, normalization, compilation and the
-	// fast-path analysis depend on the query alone, and every segment shares
-	// the analyzer and the registry.
-	rp, err := planRanked(q, s.analyzer, s.reg, topK, o)
+	p, err := s.planQuery(q, EngineAuto, topK, &o, tel, tr)
 	if err != nil {
 		return nil, err
 	}
-	if timed {
-		d := time.Since(t0)
-		if tel != nil {
-			tel.planH.Observe(d.Seconds())
-		}
-		if sp := tr.ChildDone("plan", d); sp != nil {
-			sp.Annotate("ranked_path", rp.path())
-		}
-	}
 	var shared *wand.Shared
-	if rp.wand != nil && !o.NoThresholdSharing {
+	if p.wand && !o.NoThresholdSharing {
 		shared = wand.NewShared()
 	}
-	order := s.fanoutOrder(rp, m, o, shared)
+	order := s.fanoutOrder(p, m, o, shared)
 	lists := make([][]shard.Doc, len(s.shards))
 	err = shard.FanoutOrdered(order, 0, func(i int) error {
 		sp, st := s.startShardSpan(tel, tr, i)
 		segLists := make([][]shard.Doc, 0, len(s.shards[i]))
 		for _, sg := range s.shards[i] {
-			ranked, err := sg.ix.rankedNodes(rp, m, s.cstats, topK, o, shared, sg.meta.LiveFilter())
+			ranked, err := sg.ix.rankedNodes(p, m, s.cstats, topK, o, shared, sg.meta.LiveFilter())
 			if err != nil {
 				return err
 			}
@@ -688,6 +668,7 @@ func (s *ShardedIndex) SearchRankedOpts(q *Query, m ScoringModel, topK int, o Ra
 	if err != nil {
 		return nil, err
 	}
+	var t0 time.Time
 	if timed {
 		t0 = time.Now()
 	}
@@ -713,7 +694,7 @@ func (s *ShardedIndex) SearchRankedOpts(q *Query, m ScoringModel, topK int, o Ra
 // cold segment (no cached statistics yet) gets an infinite bound and runs
 // early, warming it where the wait is least likely to be on the critical
 // path's tail.
-func (s *ShardedIndex) fanoutOrder(rp *rankedPlan, m ScoringModel, o RankOptions, shared *wand.Shared) []int {
+func (s *ShardedIndex) fanoutOrder(p *plan, m ScoringModel, o RankOptions, shared *wand.Shared) []int {
 	order := make([]int, len(s.shards))
 	for i := range order {
 		order[i] = i
@@ -725,7 +706,7 @@ func (s *ShardedIndex) fanoutOrder(rp *rankedPlan, m ScoringModel, o RankOptions
 	for i, segs := range s.shards {
 		b := math.Inf(-1)
 		for _, sg := range segs {
-			ub, ok := sg.ix.rankedUpperBound(rp, m, s.cstats)
+			ub, ok := sg.ix.rankedUpperBound(p, m, s.cstats)
 			if !ok {
 				b = math.Inf(1)
 				break
